@@ -23,7 +23,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .ccghc import DEFAULT_EPS, ccghc, tilt
+from .ccghc import DEFAULT_EPS, CcGhcResult, ccghc, tilt
 from .ghc import ghc
 from .pmf import (SIZE_CAP, CostVector, Number, Pmf, as_fraction,
                   average_cost_exact, kl_divergence, kronecker_cost,
@@ -76,15 +76,15 @@ def convergence_sweep(t: Pmf, w: CostVector, S: Number, k_max: int,
         tk = kronecker_pmf(t, k, size_cap)
         vk = kronecker_cost(w, k, size_cap)
         res = ccghc(tk, vk, k * S_exact, eps)
-        kl_ps = res.kl / k
-        records.append(ConvergenceRecord(
-            k=k,
-            kl_per_symbol=kl_ps,
-            cost_per_symbol=float(res.cost_exact / k),
-            lambda_star=res.lambda_star,
-            gap=kl_ps - d_opt,
-        ))
+        records.append(_record(k, res, d_opt))
     return tuple(records)
+
+
+def _record(k: int, res: CcGhcResult, d_opt: float) -> ConvergenceRecord:
+    kl_ps = res.kl / k
+    return ConvergenceRecord(k=k, kl_per_symbol=kl_ps,
+                             cost_per_symbol=float(res.cost_exact / k),
+                             lambda_star=res.lambda_star, gap=kl_ps - d_opt)
 
 
 def chord(t: Pmf, w: CostVector, E_star: float,
@@ -144,13 +144,7 @@ def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
     tk = kronecker_pmf(t, k, size_cap)
     vk = kronecker_cost(w, k, size_cap)
     res = ccghc(tk, vk, k * S_exact, eps)
-    record = ConvergenceRecord(
-        k=k,
-        kl_per_symbol=res.kl / k,
-        cost_per_symbol=float(res.cost_exact / k),
-        lambda_star=res.lambda_star,
-        gap=res.kl / k - solve_simplex(t, w, float(S_exact)).D,
-    )
+    record = _record(k, res, solve_simplex(t, w, float(S_exact)).D)
     ok = res.cost_exact <= k * S_exact
     d_xi = ghc(tilt(tk, vk, ch.xi))
     if average_cost_exact(d_xi, vk) <= k * S_exact:

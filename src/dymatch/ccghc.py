@@ -37,18 +37,26 @@ MAX_ITERATIONS = 200
 
 
 def tilt(t: Pmf, w: CostVector, lam: float) -> TargetWeights:
-    """Elementwise tilted target t_i * 2^(-lam * w_i)."""
+    """Tilted target t_i * 2^(lam * (w_min - w_i)), w_min the cheapest
+    cost among symbols with t_i > 0; entries with t_i = 0 are exactly 0.
+
+    This is t * 2^(-lam w) times the constant 2^(lam w_min), which
+    changes neither ghc's minimizer nor a normalized pmf. The shift keeps
+    the cheapest supported symbol at its target weight, so no multiplier
+    underflows every weight that matters. Shifting by an unsupported
+    cheaper cost would not: with an unused symbol of cost 0 and the
+    others near 10, lam = 54 scales every supported weight by about
+    2^-540, and the product inside ghc's geometric-mean merge underflows.
+    """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
-    return TargetWeights(t.probs * np.exp2(-lam * w.costs))
-
-
-def _tilted_ghc(t: Pmf, w: CostVector, lam: float) -> DyadicPmf:
-    # same minimizer as ghc(tilt(t, w, lam)): rescaling by 2^(lam*w_min)
-    # keeps the largest weight near t's scale so huge multipliers cannot
-    # underflow the whole vector at once
-    shift = lam * float(w.costs.min())
-    return ghc(TargetWeights(t.probs * np.exp2(shift - lam * w.costs)))
+    tp = t.probs
+    supported = tp > 0
+    costs = w.costs[supported]
+    shift = lam * float(costs.min())
+    out = np.zeros(len(tp))
+    out[supported] = tp[supported] * np.exp2(shift - lam * costs)
+    return TargetWeights(out)
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ def ccghc(t: Pmf, w: CostVector, S: Number, eps: float = DEFAULT_EPS,
     trace = []
 
     def probe(lam: float) -> tuple:
-        d = _tilted_ghc(t, w, lam)
+        d = ghc(tilt(t, w, lam))
         cost = average_cost_exact(d, w)
         feasible = cost <= S_exact
         trace.append(Evaluation(lam, float(cost), kl_divergence(d, t), feasible))
@@ -181,7 +189,7 @@ def ccghc(t: Pmf, w: CostVector, S: Number, eps: float = DEFAULT_EPS,
             lo = mid
 
     # final recomputation at the feasible end of the bracket
-    d_star = _tilted_ghc(t, w, u)
+    d_star = ghc(tilt(t, w, u))
     cost_star = average_cost_exact(d_star, w)
     return _result(d_star, u, cost_star, t, iterations, (lo, u), trace)
 

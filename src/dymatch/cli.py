@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 from .blocks import convergence_sweep, sweep_csv
 from .ccghc import DEFAULT_EPS, ccghc
 from .codes import SPACE_TOKEN, SymbolAlphabet, canonical_code, load_code, \
-    parse_code_table
+    parse_code_table, prefix_violations, verify_kraft
 from .errors import CodeFormatError, DymatchError, InfeasibleConstraintError, \
     SizeCapError
 from .facade import SLAT_ALPHABET
@@ -98,13 +97,15 @@ def _cmd_match(args) -> int:
     else:
         target, costs, blocks, budget = t, w, tokens, S
     res = ccghc(target, costs, budget, eps=args.eps)
+    # a result that has no code table fails before any output
+    code = canonical_code(res.d, SymbolAlphabet(blocks))
     payload = res.to_dict()
     payload["block"] = k
     payload["per_symbol"] = {"cost": float(res.cost_exact / k),
                              "kl": res.kl / k}
     print(json.dumps(payload, indent=2))
     print()
-    _print_code_table(canonical_code(res.d, SymbolAlphabet(blocks)))
+    _print_code_table(code)
     return 0
 
 
@@ -172,14 +173,9 @@ def _cmd_decode(args) -> int:
 
 def _cmd_verify(args) -> int:
     pairs = parse_code_table(Path(args.code).read_text(encoding="utf-8"))
-    kraft = sum((Fraction(1, 2 ** len(b)) for _, b in pairs), Fraction(0))
-    # sorted order puts every codeword right before its extensions, so
-    # adjacent pairs find all prefix violations
-    by_bits = sorted(pairs, key=lambda e: e[1])
-    violations = []
-    for (sa, a), (sb, b) in zip(by_bits, by_bits[1:]):
-        if b.startswith(a):
-            violations.append(f"{a} ({sa}) is a prefix of {b} ({sb})")
+    kraft = verify_kraft(pairs)
+    violations = [f"{a} ({sa}) is a prefix of {b} ({sb})"
+                  for (sa, a), (sb, b) in prefix_violations(pairs)]
     print(f"entries:     {len(pairs)}")
     print(f"max length:  {max(len(b) for _, b in pairs)}")
     if kraft == 1:

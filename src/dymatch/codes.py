@@ -69,7 +69,8 @@ class PrefixCode:
     rely on it, and reported by verify_kraft.
     """
 
-    __slots__ = ("entries", "direction", "_by_symbol")
+    __slots__ = ("entries", "direction", "_by_symbol", "_by_bits",
+                 "_lengths")
 
     def __init__(self, entries: Iterable, direction: str = "source"):
         pairs = tuple((str(s), str(b)) for s, b in entries)
@@ -85,13 +86,18 @@ class PrefixCode:
             if sym in by_symbol:
                 raise ValueError(f"duplicate symbol {sym!r}")
             by_symbol[sym] = bits
-        words = sorted(by_symbol.values())
-        for a, b in zip(words, words[1:]):
-            if b.startswith(a):
-                raise ValueError(f"codeword {a!r} is a prefix of {b!r}")
+        violations = prefix_violations(pairs)
+        if violations:
+            (_, a), (_, b) = violations[0]
+            raise ValueError(f"codeword {a!r} is a prefix of {b!r}")
         object.__setattr__(self, "entries", pairs)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "_by_symbol", by_symbol)
+        # the parser's view: codeword to symbol, and the distinct codeword
+        # lengths in ascending order
+        object.__setattr__(self, "_by_bits", {b: s for s, b in pairs})
+        object.__setattr__(self, "_lengths",
+                           tuple(sorted({len(b) for _, b in pairs})))
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixCode is immutable")
@@ -132,10 +138,27 @@ class PrefixCode:
         return verify_kraft(self) == 1
 
 
-def verify_kraft(code: PrefixCode) -> Fraction:
-    """Exact Kraft sum of the codeword lengths; 1 means complete."""
-    return sum((Fraction(1, 2 ** len(bits)) for _, bits in code.entries),
+def verify_kraft(code) -> Fraction:
+    """Exact Kraft sum of the codeword lengths; 1 means complete.
+
+    code is a PrefixCode, or (symbol, bits) pairs as parse_code_table
+    returns them for a table that need not be prefix-free.
+    """
+    entries = code.entries if isinstance(code, PrefixCode) else code
+    return sum((Fraction(1, 2 ** len(bits)) for _, bits in entries),
                Fraction(0))
+
+
+def prefix_violations(pairs) -> list:
+    """Adjacent (symbol, bits) pairs, in codeword order, whose first
+    codeword is a prefix of the second.
+
+    Sorted order puts every codeword right before its extensions, so the
+    list is empty exactly when the codewords are prefix-free.
+    """
+    by_bits = sorted(pairs, key=lambda e: e[1])
+    return [(x, y) for x, y in zip(by_bits, by_bits[1:])
+            if y[1].startswith(x[1])]
 
 
 def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet,
@@ -151,8 +174,11 @@ def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet,
     if len(d) != len(alphabet):
         raise ValueError(f"length mismatch: {len(d)} vs {len(alphabet)}")
     order = sorted((l, i) for i, l in enumerate(d.lengths) if l is not None)
-    if order and order[0][0] == 0:
-        raise ValueError("cannot assign an empty codeword (length 0)")
+    if order[0][0] == 0:
+        raise ValueError(
+            f"cannot assign an empty codeword: the pmf puts all its mass on "
+            f"{alphabet.symbols[order[0][1]]!r}, and a one-symbol code has "
+            f"no bits to parse")
     assigned = {}
     code = 0
     prev_len = order[0][0]

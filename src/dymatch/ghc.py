@@ -43,9 +43,11 @@ class TargetWeights:
         object.__setattr__(self, "weights", arr)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("weights must be a non-empty vector")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        # min and max propagate NaN, which fails every comparison
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0 and hi < np.inf):
             raise ValueError("weights must be finite and non-negative")
-        if not np.any(arr > 0):
+        if not hi > 0:
             raise ValueError("weights must have at least one positive entry")
 
     def __len__(self) -> int:

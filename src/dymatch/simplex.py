@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .ccghc import tilt
 from .errors import ConvergenceError, InfeasibleConstraintError
 from .pmf import CostVector, Pmf, average_cost, kl_divergence
 
@@ -53,21 +54,11 @@ class OperatingPoint:
 
 
 def tilted_pmf(t: Pmf, w: CostVector, lam: float) -> Pmf:
-    """Normalized tilted pmf proportional to t_i * 2^(-lam * w_i).
-
-    Zero-probability target symbols are stripped before normalizing and
-    reinserted as zeros, so they never soak up mass.
-    """
-    if len(t) != len(w):
-        raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
-    tp = t.probs
-    mask = tp > 0
-    expo = -lam * w.costs[mask]
-    expo -= expo.max()  # overflow guard for large multipliers
-    x = tp[mask] * np.exp2(expo)
-    out = np.zeros(len(tp))
-    out[mask] = x / x.sum()
-    return Pmf(out)
+    """Normalized tilted pmf proportional to t_i * 2^(-lam * w_i): the
+    dyadic side's tilt, normalized. Zero-probability target symbols stay
+    exactly zero."""
+    x = tilt(t, w, lam).weights
+    return Pmf(x / x.sum())
 
 
 def cost_of_lambda(t: Pmf, w: CostVector, lam: float) -> float:

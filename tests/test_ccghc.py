@@ -1,4 +1,5 @@
 """Cost-constrained search: bisection on the tilted target."""
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -9,7 +10,10 @@ from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
                      average_cost_exact, as_fraction, brute_force_dyadic,
                      ccghc, ghc, kl_divergence, kronecker_cost, kronecker_pmf,
                      tilt)
+from dymatch.ghc import TargetWeights
 from conftest import random_costs, random_pmf
+
+CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 
 T3 = Pmf.uniform(3)
 W3 = CostVector(("0.18", "0.18", "0.31"))
@@ -28,8 +32,9 @@ class TestTilt:
         assert np.allclose(x.weights, T3.probs)
 
     def test_direct_evaluation(self):
+        # t_i * 2^(lam (w_min - w_i)) with w_min = 0.18
         x = tilt(T3, W3, 10.0)
-        want = [2.0 ** -1.8 / 3, 2.0 ** -1.8 / 3, 2.0 ** -3.1 / 3]
+        want = [1 / 3, 1 / 3, 2.0 ** -1.3 / 3]
         assert np.allclose(x.weights, want, rtol=0, atol=1e-15)
 
     def test_dimension_mismatch(self):
@@ -121,6 +126,72 @@ class TestCcghc:
         best = res.best_feasible
         assert best is not None and best.feasible
         assert all(best.kl <= e.kl + 1e-15 for e in res.trace if e.feasible)
+
+
+def _unsupported_shift_tilt(t, w, lam):
+    # the earlier tilt, shifted by the cheapest cost of any symbol; on a
+    # fully supported target it must give the very same weights
+    shift = lam * float(w.costs.min())
+    return TargetWeights(t.probs * np.exp2(shift - lam * w.costs))
+
+
+class TestTiltOracle:
+    """ccghc equals its run under the earlier tilt wherever every symbol
+    is supported: the same lengths, bracket, cost and probe trace."""
+
+    def _both(self, monkeypatch, t, w, S):
+        got = ccghc(t, w, S)
+        with monkeypatch.context() as m:
+            m.setattr(CCGHC_MODULE, "tilt", _unsupported_shift_tilt)
+            want = ccghc(t, w, S)
+        return got, want
+
+    def test_seeded_instances(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for i in range(60):
+            m, k = int(rng.integers(2, 7)), 1 + i % 2
+            t, w = random_pmf(rng, m), random_costs(rng, m)
+            lo, hi = float(min(w.exact)), float(np.dot(t.probs, w.costs))
+            S = as_fraction(f"{lo + (hi - lo) * rng.uniform(0.05, 0.95):.4f}")
+            got, want = self._both(monkeypatch, kronecker_pmf(t, k),
+                                   kronecker_cost(w, k),
+                                   k * max(S, min(w.exact)))
+            assert got == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_facade(self, monkeypatch, k):
+        got, want = self._both(monkeypatch, kronecker_pmf(T3, k),
+                               kronecker_cost(W3, k),
+                               k * as_fraction("0.2063"))
+        assert got == want
+
+
+class TestUnsupportedCheapSymbol:
+    """A zero-target symbol far cheaper than the rest must not drag the
+    tilted weights of the others down to underflow."""
+
+    T = Pmf(np.array([0.0, 0.25, 0.25, 0.25, 0.25]))
+    W = CostVector(("0", "10", "10.001", "10.002", "10.003"))
+
+    def test_result(self):
+        res = ccghc(self.T, self.W, "10.0012")
+        assert res.d.lengths == (None, 1, 2, 3, 3)
+        assert res.kl == pytest.approx(0.25, abs=1e-12)
+        assert res.cost_exact == Fraction(80007, 8000)  # 10.000875
+        assert res.lambda_star == pytest.approx(400, abs=1e-6)
+
+    def test_same_as_without_the_symbol(self):
+        res = ccghc(self.T, self.W, "10.0012")
+        alone = ccghc(Pmf.uniform(4), CostVector(self.W.exact[1:]),
+                      "10.0012")
+        assert res.d.lengths[1:] == alone.d.lengths
+        assert (res.lambda_star, res.cost_exact) == (alone.lambda_star,
+                                                     alone.cost_exact)
+
+    def test_tilt_keeps_exact_zeros(self):
+        x = tilt(self.T, self.W, 1e6)
+        assert x.weights[0] == 0.0
+        assert x.weights[1] == 0.25
 
 
 class TestBlockThree:

@@ -92,6 +92,19 @@ class TestMatch:
         assert code == 4
         assert "cap" in err
 
+    def test_one_symbol_result_prints_nothing(self, tmp_path, files,
+                                               capsys):
+        # at a budget equal to the cheapest cost the result is one symbol
+        # of probability 1, which has no codeword
+        costs = tmp_path / "costs.json"
+        costs.write_text(json.dumps(["0.1", "0.2", "0.35"]))
+        code, out, err = run(["match", "--target", files["target"],
+                              "--costs", str(costs), "--budget", "0.1"],
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert "empty codeword" in err and "all its mass on 'a'" in err
+
     def test_multichar_tokens_reject_blocks(self, files, capsys):
         code, _, err = run(["match", "--target", files["target"],
                             "--costs", files["costs"],
@@ -192,6 +205,24 @@ class TestEncodeDecode:
                              "--bits", str(bits)], capsys)
         assert code == 0
         assert out2.strip() == PHRASE
+
+    def test_round_trip_through_filled_wall(self, files, tmp_path, capsys):
+        # the README's example: 4264 slats is not a whole number of blocks
+        code, out, err = run(["encode", "--text", files["text"],
+                              "--source-code", files["source"],
+                              "--matcher", files["matcher"],
+                              "--costs", files["costs"],
+                              "--slats", "4264"], capsys)
+        assert code == 0
+        wall = tmp_path / "wall.txt"
+        wall.write_text(out)
+        assert json.loads(err)["bit_count"] == 57
+        code, out2, _ = run(["decode", "--slats", str(wall),
+                             "--matcher", files["matcher"],
+                             "--source-code", files["source"],
+                             "--bits", "57"], capsys)
+        assert code == 0
+        assert out2 == PHRASE + "\n"
 
     def test_decode_bad_block_exits_3(self, files, tmp_path, capsys):
         slats = tmp_path / "bad.txt"

@@ -11,6 +11,7 @@ from dymatch import (CodeFormatError, CostVector, Pmf, PrefixCode,
 from dymatch.codes import SymbolAlphabet
 from dymatch.facade import (SLAT_ALPHABET, SLAT_COSTS, TARGET, matcher_code,
                             source_code)
+from dymatch.pipeline import _parse
 
 SRC = source_code()
 MAT = matcher_code()
@@ -106,6 +107,24 @@ class TestUnmatchSymbols:
         with pytest.raises(CodeFormatError):
             unmatch_symbols("ll", MAT, 4)
 
+    def test_partial_block_after_the_bits_ignored(self):
+        # lll carries 0010; a trailing ll cut from the fill adds no bits
+        assert unmatch_symbols("lllll", MAT, 4) == "0010"
+        with pytest.raises(CodeFormatError):
+            unmatch_symbols("lllll", MAT, 5)
+
+    def test_filled_wall_decodes(self):
+        res = run_facade(PHRASE, SRC, MAT, SLAT_COSTS, slat_budget=4264)
+        assert len(res.symbols) % 3 == 1
+        bits = unmatch_symbols(res.symbols, MAT, res.bit_count)
+        assert decompress_bits(bits, SRC) == PHRASE
+
+    def test_truncated_wall_rejected(self):
+        with pytest.warns(UserWarning):
+            res = run_facade(PHRASE, SRC, MAT, SLAT_COSTS, slat_budget=13)
+        with pytest.raises(CodeFormatError):
+            unmatch_symbols(res.symbols, MAT, res.bit_count)
+
     def test_bit_count_range_checked(self):
         with pytest.raises(ValueError):
             unmatch_symbols("lll", MAT, 5)
@@ -134,6 +153,95 @@ class TestGeneratedMatchers:
                 res = match_bits(bits, code)
                 assert unmatch_symbols(res.symbols, code,
                                        res.bit_count) == bits
+
+
+def _ref_parse(bits, code):
+    out, pos = [], 0
+    while hit := next((e for e in code.entries if bits.startswith(e[1], pos)),
+                      None):
+        out.append(hit[0])
+        pos += len(hit[1])
+    return out, pos
+
+
+def _ref_decompress(bits, code):
+    """(text, None) or (None, error position), from _ref_parse."""
+    out, stop = _ref_parse(bits, code)
+    if stop == len(bits):
+        return "".join(out), None
+    # the first bit that no codeword continues with
+    words = [b for _, b in code.entries]
+    return None, next((i for i in range(stop, len(bits))
+                       if not any(b.startswith(bits[stop:i + 1])
+                                  for b in words)), len(bits))
+
+
+def _ref_match(bits, code):
+    """(symbols, pad_bits): whole codewords, the last completed with
+    zeros."""
+    out, used = [], 0
+    for sym in _ref_parse(bits + "0" * code.max_length, code)[0]:
+        if used >= len(bits):
+            break
+        out.append(sym)
+        used += len(code.bits_for(sym))
+    return "".join(out), used - len(bits)
+
+
+def _k2_matcher():
+    res = ccghc(kronecker_pmf(TARGET, 2), kronecker_cost(SLAT_COSTS, 2),
+                2 * as_fraction("0.2063"))
+    blocks = SymbolAlphabet(tuple(a + b for a in "lrm" for b in "lrm"))
+    return canonical_code(res.d, blocks)
+
+
+INCOMPLETE = PrefixCode([("a", "0"), ("b", "10"), ("c", "1101")])
+
+
+class TestParseDifferential:
+    """The one parser behind every pipeline stage, against a parser that
+    tries each codeword with startswith."""
+
+    CODES = {"source": SRC, "matcher": MAT, "k2": _k2_matcher(),
+             "incomplete": INCOMPLETE}
+
+    @pytest.mark.parametrize("name", sorted(CODES))
+    @given(bits=bits_strategy)
+    def test_parse(self, name, bits):
+        code = self.CODES[name]
+        assert _parse(bits, code) == _ref_parse(bits, code)
+
+    @pytest.mark.parametrize("name", sorted(CODES))
+    @given(bits=bits_strategy)
+    def test_decompress(self, name, bits):
+        code = self.CODES[name]
+        text, position = _ref_decompress(bits, code)
+        if position is None:
+            assert decompress_bits(bits, code) == text
+        else:
+            with pytest.raises(CodeFormatError) as err:
+                decompress_bits(bits, code)
+            assert err.value.position == position
+
+    @pytest.mark.parametrize("name", sorted(CODES))
+    @given(bits=bits_strategy)
+    def test_match(self, name, bits):
+        code = self.CODES[name]
+        if not code.is_complete:
+            with pytest.raises(ValueError):
+                match_bits(bits, code)
+            return
+        res = match_bits(bits, code)
+        assert (res.symbols, res.pad_bits) == _ref_match(bits, code)
+
+    def test_incomplete_code_errors(self):
+        # 11 starts c = 1101 but 111 starts nothing
+        with pytest.raises(CodeFormatError) as err:
+            decompress_bits("0111", INCOMPLETE)
+        assert err.value.position == 3
+        with pytest.raises(CodeFormatError) as err:
+            decompress_bits("0110", INCOMPLETE)
+        assert err.value.position == 4
 
 
 class TestFacadeStats:

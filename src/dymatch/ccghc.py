@@ -145,11 +145,12 @@ def ccghc(t: Pmf, w: CostVector, S: Number, eps: float = DEFAULT_EPS,
     if eps <= 0:
         raise ValueError("eps must be positive")
     S_exact = as_fraction(S)
-    supported = [w.exact[i] for i in range(len(w)) if t.probs[i] > 0]
-    if S_exact < min(supported):
+    cheapest = Fraction(min(n for n, p in zip(w.nums, t.probs) if p > 0),
+                        w.den)
+    if S_exact < cheapest:
         raise InfeasibleConstraintError(
             f"budget {S_exact} is below the cheapest supported symbol cost "
-            f"{min(supported)}")
+            f"{cheapest}")
 
     trace = []
 

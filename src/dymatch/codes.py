@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CodeFormatError
-from .pmf import DyadicPmf
+from .pmf import DyadicPmf, kraft_sum
 
 SPACE_TOKEN = "_"
 _DIRECTIONS = ("source", "matcher")
@@ -145,20 +145,30 @@ def verify_kraft(code) -> Fraction:
     returns them for a table that need not be prefix-free.
     """
     entries = code.entries if isinstance(code, PrefixCode) else code
-    return sum((Fraction(1, 2 ** len(bits)) for _, bits in entries),
-               Fraction(0))
+    return kraft_sum(len(bits) for _, bits in entries)
 
 
 def prefix_violations(pairs) -> list:
-    """Adjacent (symbol, bits) pairs, in codeword order, whose first
-    codeword is a prefix of the second.
+    """Every (prefix, extension) pair of (symbol, bits) entries whose first
+    codeword is a prefix of the second, sorted by the extension's codeword,
+    then by the prefix's.
 
-    Sorted order puts every codeword right before its extensions, so the
-    list is empty exactly when the codewords are prefix-free.
+    Sorted order puts every codeword after all its prefixes, and a
+    codeword between a prefix and its extension extends that prefix too.
+    So a stack of the current chain of prefixes, popped back to the
+    longest one the next codeword extends, holds exactly that codeword's
+    prefixes. The list is empty exactly when the codewords are prefix-free.
     """
-    by_bits = sorted(pairs, key=lambda e: e[1])
-    return [(x, y) for x, y in zip(by_bits, by_bits[1:])
-            if y[1].startswith(x[1])]
+    out = []
+    chain = []
+    for entry in sorted(pairs, key=lambda e: e[1]):
+        bits = entry[1]
+        while chain and not bits.startswith(chain[-1][1]):
+            chain.pop()
+        for prefix in chain:
+            out.append((prefix, entry))
+        chain.append(entry)
+    return out
 
 
 def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet,

@@ -1,15 +1,21 @@
 """Probability vectors, cost vectors, and their block extensions.
 
 Floating point is used for all divergence and cost arithmetic except where
-exactness is load bearing: dyadic pmfs are stored as integer codeword
-lengths so Kraft sums are exact rationals, and cost vectors carry exact
-Fraction values alongside their float mirrors so boundary comparisons of
-the form "cost <= budget" never depend on float rounding.
+exactness is load bearing, and there the one exact form is scaled
+integers: dyadic pmfs are stored as integer codeword lengths, and cost
+vectors as integer numerators over one common denominator beside their
+float mirrors. Kraft sums and dyadic costs are then integer sums over a
+power-of-two scale (2^-l = 2^(top-l) / 2^top), so boundary comparisons of
+the form "cost <= budget" never depend on float rounding. Fraction
+appears only at the edge: as_fraction parses inputs, CostVector.exact
+builds the rational view on demand, and the exact checks return their
+sums as Fractions.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -50,7 +56,7 @@ def _readonly(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pmf:
     """Finite probability mass function over an ordered symbol set."""
 
@@ -99,7 +105,7 @@ class Pmf:
         return np.array_equal(self.probs, other.probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicPmf:
     """Pmf whose entries are 2^-length or 0, stored as integer lengths.
 
@@ -125,8 +131,7 @@ class DyadicPmf:
             raise ValueError(f"Kraft sum is {self.kraft_sum()}, not 1")
 
     def kraft_sum(self) -> Fraction:
-        return sum((Fraction(1, 2 ** l) for l in self.lengths if l is not None),
-                   Fraction(0))
+        return kraft_sum(self.lengths)
 
     @property
     def probs(self) -> np.ndarray:
@@ -151,24 +156,54 @@ class CostVector:
     """Per-symbol non-negative costs with exact rational values.
 
     Accepts decimal strings ("0.18"), Fractions, Decimals, ints, or floats.
-    The float view is derived from the exact values, never the other way
-    around, so entries that are equal as rationals stay exactly equal after
-    any block extension.
+    The exact values are stored as integer numerators `nums` over one
+    common denominator `den` (on construction, the lcm of the reduced
+    denominators); `exact` rebuilds them as Fractions on demand and is the
+    only place a CostVector hands out Fractions. The float view is derived
+    from the exact values, never the other way around, so entries that are
+    equal as rationals stay exactly equal after any block extension.
     """
 
-    __slots__ = ("exact", "costs")
+    __slots__ = ("nums", "den", "costs")
 
     def __init__(self, costs: Sequence[Number]):
-        exact = tuple(as_fraction(c) for c in costs)
+        exact = [as_fraction(c) for c in costs]
         if not exact:
             raise ValueError("cost vector needs at least one entry")
         if any(c < 0 for c in exact):
             raise ValueError("costs must be non-negative")
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "costs", _readonly(float(c) for c in exact))
+        # den is the lcm of the denominators. Where the largest one is
+        # that lcm, den and the numerators already over it are the inputs'
+        # own int objects, so a stored vector holds few new ints.
+        dens = [c.denominator for c in exact]
+        den = max(dens)
+        if any(den % d for d in dens):
+            den = math.lcm(*dens)
+        self._set(tuple(c.numerator if c.denominator == den
+                        else c.numerator * (den // c.denominator)
+                        for c in exact), den)
+
+    @classmethod
+    def _scaled(cls, nums: tuple, den: int) -> "CostVector":
+        """Instance from non-negative integer numerators over den, built
+        without any Fraction."""
+        out = cls.__new__(cls)
+        out._set(nums, den)
+        return out
+
+    def _set(self, nums: tuple, den: int) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        # int / int is correctly rounded, so each entry equals float(exact)
+        object.__setattr__(self, "costs", _readonly([n / den for n in nums]))
 
     def __setattr__(self, name, value):
         raise AttributeError("CostVector is immutable")
+
+    @property
+    def exact(self) -> tuple:
+        """The costs as Fractions, built on each access."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __repr__(self) -> str:
         return f"CostVector({[str(c) for c in self.exact]})"
@@ -177,7 +212,7 @@ class CostVector:
     def is_uniform(self) -> bool:
         """True when all entries are equal (the degenerate case for which
         an affine cost constraint cannot discriminate between pmfs)."""
-        return len(set(self.exact)) == 1
+        return len(set(self.nums)) == 1
 
     @classmethod
     def from_json(cls, text: str) -> "CostVector":
@@ -190,7 +225,7 @@ class CostVector:
         return json.dumps([_decimal_str(c) for c in self.exact])
 
     def __len__(self) -> int:
-        return len(self.exact)
+        return len(self.nums)
 
     def __getitem__(self, i: int) -> float:
         return float(self.costs[i])
@@ -198,7 +233,10 @@ class CostVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CostVector):
             return NotImplemented
-        return self.exact == other.exact
+        # rational equality: a/d == b/e exactly when a*e == b*d
+        return len(self) == len(other) and all(
+            a * other.den == b * self.den
+            for a, b in zip(self.nums, other.nums))
 
 
 def _decimal_str(f: Fraction) -> str:
@@ -211,6 +249,19 @@ def _decimal_str(f: Fraction) -> str:
     if den == 1:
         return str(Decimal(f.numerator) / Decimal(f.denominator))
     return repr(float(f))
+
+
+def kraft_sum(lengths) -> Fraction:
+    """Exact Kraft sum of the finite codeword lengths (None is skipped).
+
+    With top the longest length, sum 2^-l is sum 2^(top-l) over 2^top, an
+    integer sum; Python ints keep it exact at any length.
+    """
+    counts = Counter(l for l in lengths if l is not None)
+    if not counts:
+        return Fraction(0)
+    top = max(counts)
+    return Fraction(sum(c << (top - l) for l, c in counts.items()), 1 << top)
 
 
 def _probs_of(p) -> np.ndarray:
@@ -258,9 +309,11 @@ def average_cost_exact(d: DyadicPmf, w: CostVector) -> Fraction:
     """
     if len(d) != len(w):
         raise ValueError(f"length mismatch: {len(d)} vs {len(w)}")
-    return sum((Fraction(1, 2 ** l) * c
-                for l, c in zip(d.lengths, w.exact) if l is not None),
-               Fraction(0))
+    # sum n_i 2^-l_i / den, scaled by 2^top to integers
+    top = max(l for l in d.lengths if l is not None)
+    total = sum(n << (top - l) for n, l in zip(w.nums, d.lengths)
+                if l is not None)
+    return Fraction(total, w.den << top)
 
 
 def _check_cap(m: int, k: int, size_cap: int) -> None:
@@ -287,11 +340,12 @@ def kronecker_cost(w: CostVector, k: int, size_cap: int = SIZE_CAP) -> CostVecto
     """Kronecker-sum cost of k-symbol blocks, same index order as
     kronecker_pmf: the block (i1, ..., ik) costs w_i1 + ... + w_ik.
 
-    Sums are taken over the exact rational entries, so blocks whose cost
-    multisets coincide stay exactly tied regardless of addition order.
+    Sums are taken over the integer numerators, all over w's denominator,
+    so blocks whose cost multisets coincide stay exactly tied regardless
+    of addition order.
     """
     _check_cap(len(w), k, size_cap)
-    out = list(w.exact)
+    out = w.nums
     for _ in range(k - 1):
-        out = [a + b for a in out for b in w.exact]
-    return CostVector(out)
+        out = [a + b for a in out for b in w.nums]
+    return CostVector._scaled(tuple(out), w.den)

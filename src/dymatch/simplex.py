@@ -62,8 +62,13 @@ def tilted_pmf(t: Pmf, w: CostVector, lam: float) -> Pmf:
 
 
 def cost_of_lambda(t: Pmf, w: CostVector, lam: float) -> float:
-    """f(lam) = w^T p*(lam), strictly decreasing in lam for non-equal costs."""
-    return average_cost(tilted_pmf(t, w, lam), w)
+    """f(lam) = w^T p*(lam), strictly decreasing in lam for non-equal costs.
+
+    Takes the dot product on the normalized tilt directly: the bisection
+    calls this at every step and needs no validated Pmf.
+    """
+    x = tilt(t, w, lam).weights
+    return float(np.dot(x / x.sum(), w.costs))
 
 
 def solve_simplex(t: Pmf, w: CostVector, E: float,

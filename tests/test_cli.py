@@ -258,6 +258,17 @@ class TestVerify:
         assert "prefix-free: no" in out
         assert "0 (a) is a prefix of 01 (b)" in out
 
+    def test_every_violating_pair_listed(self, tmp_path, capsys):
+        # 0 (a) comes right before 00 (d) in sorted order, not before
+        # 01 (b), and is a prefix of both
+        table = tmp_path / "broken.tsv"
+        table.write_text("a\t0\nb\t01\nc\t1\nd\t00\n")
+        code, out, _ = run(["verify", "--code", str(table)], capsys)
+        assert code == 3
+        assert out.endswith("prefix-free: no\n"
+                            "  0 (a) is a prefix of 00 (d)\n"
+                            "  0 (a) is a prefix of 01 (b)\n")
+
     def test_malformed_table_exits_3(self, tmp_path, capsys):
         table = tmp_path / "garbled.tsv"
         table.write_text("a 0\n")  # space, not tab

@@ -3,10 +3,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dymatch import (CodeFormatError, DyadicPmf, PrefixCode, SymbolAlphabet,
                      canonical_code, huffman, load_code, parse_code_table,
                      save_code, verify_kraft)
+from dymatch.codes import prefix_violations
 from dymatch.facade import matcher_code, source_code
 
 ABC = SymbolAlphabet(("a", "b", "c"))
@@ -64,6 +67,32 @@ class TestPrefixCode:
     def test_direction_validated(self):
         with pytest.raises(ValueError):
             PrefixCode([("a", "0"), ("b", "1")], direction="sideways")
+
+
+class TestPrefixViolations:
+    def test_prefix_of_two_words(self):
+        pairs = [("a", "0"), ("b", "01"), ("c", "1"), ("d", "00")]
+        assert prefix_violations(pairs) == [
+            (("a", "0"), ("d", "00")), (("a", "0"), ("b", "01"))]
+
+    def test_chain(self):
+        pairs = [("c", "011"), ("a", "0"), ("b", "01"), ("d", "1")]
+        assert prefix_violations(pairs) == [
+            (("a", "0"), ("b", "01")), (("a", "0"), ("c", "011")),
+            (("b", "01"), ("c", "011"))]
+
+    def test_shipped_tables_clean(self):
+        assert prefix_violations(matcher_code().entries) == []
+        assert prefix_violations(source_code().entries) == []
+
+    @given(st.lists(st.text("01", min_size=1, max_size=6), min_size=1,
+                    max_size=10, unique=True))
+    def test_all_pairs(self, words):
+        pairs = [(f"s{i}", b) for i, b in enumerate(words)]
+        want = sorted(((x, y) for x in pairs for y in pairs
+                       if x != y and y[1].startswith(x[1])),
+                      key=lambda v: (v[1][1], v[0][1]))
+        assert prefix_violations(pairs) == want
 
 
 class TestCanonicalCode:

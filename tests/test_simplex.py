@@ -48,6 +48,23 @@ class TestCostOfLambda:
     def test_limit_is_min_cost(self):
         assert cost_of_lambda(T3, W3, 1e3) == pytest.approx(0.18, abs=1e-9)
 
+    def test_equals_cost_of_tilted_pmf(self):
+        # the bisection's shortcut takes the same dot product as building
+        # the Pmf and asking for its average cost, bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            m = int(rng.integers(2, 9))
+            t, w = random_pmf(rng, m), random_costs(rng, m)
+            if rng.random() < 0.3:
+                probs = t.probs.copy()
+                probs[int(rng.integers(m))] = 0.0
+                if probs.sum() == 0:
+                    continue
+                t = Pmf(probs / probs.sum())
+            for lam in (0.0, *rng.uniform(0.0, 50.0, 5), 1e3):
+                assert cost_of_lambda(t, w, lam) == average_cost(
+                    tilted_pmf(t, w, lam), w)
+
 
 class TestSolveSimplex:
     def test_slack_constraint_returns_target(self):

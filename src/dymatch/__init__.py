@@ -28,9 +28,9 @@ from .pipeline import (EncodeResult, FrequencyStats, compress_text,
 from .pmf import (SIZE_CAP, CostVector, DyadicPmf, Pmf, as_fraction,
                   average_cost, average_cost_exact, kl_divergence,
                   kronecker_cost, kronecker_pmf)
-from .simplex import (OperatingPoint, TiltedSolution, cost_of_lambda,
-                      curve_csv, distance_cost_curve,
-                      geometry_identity_residual, solve_simplex, tilted_pmf)
+from .simplex import (TiltedSolution, cost_of_lambda, curve_csv,
+                      distance_cost_curve, geometry_identity_residual,
+                      solve_simplex, tilted_pmf)
 
 __version__ = "0.1.0"
 
@@ -38,9 +38,9 @@ __all__ = [
     "CcGhcResult", "ChordConstruction", "CodeFormatError",
     "ConvergenceError", "ConvergenceRecord", "CostVector", "DyadicPmf",
     "DymatchError", "EncodeResult", "FrequencyStats",
-    "InfeasibleConstraintError", "OperatingPoint", "Pmf", "PrefixCode",
-    "SIZE_CAP", "SizeCapError", "SymbolAlphabet", "TargetWeights",
-    "TiltedSolution", "achievability_check", "as_fraction", "average_cost",
+    "InfeasibleConstraintError", "Pmf", "PrefixCode", "SIZE_CAP",
+    "SizeCapError", "SymbolAlphabet", "TargetWeights", "TiltedSolution",
+    "achievability_check", "as_fraction", "average_cost",
     "average_cost_exact", "brute_force_dyadic", "canonical_code", "ccghc",
     "chord", "compress_text", "convergence_sweep", "cost_of_lambda",
     "curve_csv", "decompress_bits", "distance_cost_curve", "facade_stats",

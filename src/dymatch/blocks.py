@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .ccghc import DEFAULT_EPS, CcGhcResult, ccghc, tilt
 from .ghc import ghc
 from .pmf import (SIZE_CAP, CostVector, Number, Pmf, as_fraction,
-                  average_cost_exact, kl_divergence, kronecker_cost,
-                  kronecker_pmf)
-from .simplex import solve_simplex
+                  average_cost_exact, check_size_cap, kl_divergence,
+                  kronecker_cost, kronecker_pmf)
+from .simplex import solve_simplex, tilted_solution
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,11 @@ def convergence_sweep(t: Pmf, w: CostVector, S: Number, k_max: int,
     Returns one ConvergenceRecord per k. Every record is feasible
     (cost_per_symbol <= S, compared exactly); per-symbol quantities are
     computed from exact block costs with a single final float conversion.
+    A k_max past the size cap is refused before any block is solved.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    check_size_cap(max(len(t), len(w)), k_max, size_cap)
     S_exact = as_fraction(S)
     d_opt = solve_simplex(t, w, float(S_exact)).D
     records = []
@@ -91,9 +93,12 @@ def chord(t: Pmf, w: CostVector, E_star: float,
           epsilon: float) -> ChordConstruction:
     """Chord through (E*, D(E*)) and (E', D(E*) + epsilon).
 
-    E' is found by bisection on the decreasing branch of D left of E*.
-    xi is computed from the achieved curve points, so strict convexity
-    keeps it above the tangent slope lam(E*).
+    E' lies on the decreasing branch of D left of E*. Along the tilt
+    family D rises and E falls as the multiplier grows, so E' is found by
+    one bisection on the multiplier, from lam(E*) up to the multiplier of
+    a budget just above the cheapest supported cost, until the bracket
+    cannot shrink in floats. xi is computed from the achieved curve
+    points, so strict convexity keeps it above the tangent slope lam(E*).
 
     Raises:
         ValueError: epsilon so large that D never reaches D(E*) + epsilon
@@ -105,21 +110,21 @@ def chord(t: Pmf, w: CostVector, E_star: float,
     target = sol.D + epsilon
     supported = w.costs[t.probs > 0]
     w_min = float(supported.min())
-    lo = w_min + 1e-9 * (sol.E - w_min)
-    if solve_simplex(t, w, lo).D <= target:
+    edge = solve_simplex(t, w, w_min + 1e-9 * (sol.E - w_min))
+    if edge.D <= target:
         raise ValueError(
             f"epsilon {epsilon} exceeds the distance range available above "
             f"the cheapest cost {w_min}")
-    hi = sol.E
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if solve_simplex(t, w, mid).D > target:
-            lo = mid
-        else:
+    # D(lo) <= target < D(hi)
+    lo, hi = sol.lam, edge.lam
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if tilted_solution(t, w, mid).D > target:
             hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(sol.E)):
-            break
-    prime = solve_simplex(t, w, 0.5 * (lo + hi))
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    prime = tilted_solution(t, w, mid)
     xi = (prime.D - sol.D) / (sol.E - prime.E)
     return ChordConstruction(E_prime=prime.E,
                              E_mid=0.5 * (prime.E + sol.E),

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -73,11 +72,12 @@ class Evaluation:
 class CcGhcResult:
     """Converged output of the constrained search.
 
-    lambda_star is the feasible end of the final bracket; d is the
-    minimizer recomputed at lambda_star, so cost <= S holds exactly.
-    d minimizes kl + lambda_star * cost over all dyadic pmfs, so it has
-    the smallest KL among dyadic pmfs costing at most cost_exact; when
-    cost_exact < S a feasible pmf with smaller KL may exist.
+    lambda_star is the feasible end of the final bracket; d, cost_exact
+    and kl are what the search's probe at lambda_star produced, so
+    cost <= S holds exactly. d minimizes kl + lambda_star * cost over all
+    dyadic pmfs, so it has the smallest KL among dyadic pmfs costing at
+    most cost_exact; when cost_exact < S a feasible pmf with smaller KL
+    may exist.
     """
 
     d: DyadicPmf
@@ -88,16 +88,6 @@ class CcGhcResult:
     bracket: tuple
     trace: tuple
     cost_exact: Fraction
-
-    @property
-    def best_feasible(self) -> Optional[Evaluation]:
-        """Diagnostic: the feasible probe with the smallest KL seen during
-        the search (normally the final one; the returned d is always the
-        recomputation at lambda_star regardless)."""
-        feasible = [e for e in self.trace if e.feasible]
-        if not feasible:
-            return None
-        return min(feasible, key=lambda e: e.kl)
 
     def to_dict(self, include_trace: bool = False) -> dict:
         out = {
@@ -114,8 +104,8 @@ class CcGhcResult:
         return out
 
 
-def ccghc(t: Pmf, w: CostVector, S: Number, eps: float = DEFAULT_EPS,
-          max_iterations: int = MAX_ITERATIONS) -> CcGhcResult:
+def ccghc(t: Pmf, w: CostVector, S: Number,
+          eps: float = DEFAULT_EPS) -> CcGhcResult:
     """Feasible dyadic pmf close in KL to t under w^T d <= S.
 
     The returned d is ghc of the tilt at lambda_star: it minimizes
@@ -129,7 +119,8 @@ def ccghc(t: Pmf, w: CostVector, S: Number, eps: float = DEFAULT_EPS,
         t: target pmf.
         w: costs, one per symbol.
         S: budget; decimal strings and Fractions are honored exactly.
-        eps: bracket width at which the bisection stops.
+        eps: bracket width at which the bisection stops; must be
+            positive (NaN is refused).
 
     Returns:
         CcGhcResult. If ghc(t) is already feasible the search is skipped
@@ -142,7 +133,7 @@ def ccghc(t: Pmf, w: CostVector, S: Number, eps: float = DEFAULT_EPS,
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     S_exact = as_fraction(S)
     cheapest = Fraction(min(n for n, p in zip(w.nums, t.probs) if p > 0),
@@ -154,50 +145,43 @@ def ccghc(t: Pmf, w: CostVector, S: Number, eps: float = DEFAULT_EPS,
 
     trace = []
 
-    def probe(lam: float) -> tuple:
+    def probe(lam: float):
+        """(d, exact cost, KL) at lam when feasible, else None."""
         d = ghc(tilt(t, w, lam))
         cost = average_cost_exact(d, w)
+        kl = kl_divergence(d, t)
         feasible = cost <= S_exact
-        trace.append(Evaluation(lam, float(cost), kl_divergence(d, t), feasible))
-        return d, cost, feasible
+        trace.append(Evaluation(lam, float(cost), kl, feasible))
+        return (d, cost, kl) if feasible else None
 
-    d0, cost0, feasible0 = probe(0.0)
-    if feasible0:
-        return _result(d0, 0.0, cost0, t, 0, (0.0, 0.0), trace)
+    # found is always the probe at u, the feasible end of the bracket
+    lo = u = 0.0
+    iterations = 0
+    found = probe(0.0)
     # equal costs everywhere need no special branch: any dyadic pmf then
     # costs exactly that value, so the budget check above already raised
-
-    lo, u = 0.0, 1.0
-    d, cost, feasible = probe(u)
-    while not feasible:
-        lo, u = u, 2.0 * u
-        if u > 2.0 ** 100:
-            raise ConvergenceError("failed to bracket a feasible multiplier")
-        d, cost, feasible = probe(u)
-
-    iterations = 0
-    while u - lo >= eps:
-        iterations += 1
-        if iterations > max_iterations:
-            raise ConvergenceError(
-                f"bisection exceeded {max_iterations} iterations "
-                f"(bracket width {u - lo:.3e}, eps {eps:.3e})")
-        mid = 0.5 * (lo + u)
-        _, _, mid_feasible = probe(mid)
-        if mid_feasible:
-            u = mid
-        else:
-            lo = mid
-
-    # final recomputation at the feasible end of the bracket
-    d_star = ghc(tilt(t, w, u))
-    cost_star = average_cost_exact(d_star, w)
-    return _result(d_star, u, cost_star, t, iterations, (lo, u), trace)
-
-
-def _result(d: DyadicPmf, lam: float, cost_exact: Fraction, t: Pmf,
-            iterations: int, bracket: tuple, trace: list) -> CcGhcResult:
-    return CcGhcResult(d=d, lambda_star=lam, cost=float(cost_exact),
-                       kl=kl_divergence(d, t), iterations=iterations,
-                       bracket=bracket, trace=tuple(trace),
-                       cost_exact=cost_exact)
+    if not found:
+        u = 1.0
+        found = probe(u)
+        while not found:
+            lo, u = u, 2.0 * u
+            if u > 2.0 ** 100:
+                raise ConvergenceError(
+                    "failed to bracket a feasible multiplier")
+            found = probe(u)
+        while u - lo >= eps:
+            iterations += 1
+            if iterations > MAX_ITERATIONS:
+                raise ConvergenceError(
+                    f"bisection exceeded {MAX_ITERATIONS} iterations "
+                    f"(bracket width {u - lo:.3e}, eps {eps:.3e})")
+            mid = 0.5 * (lo + u)
+            at_mid = probe(mid)
+            if at_mid:
+                u, found = mid, at_mid
+            else:
+                lo = mid
+    d, cost, kl = found
+    return CcGhcResult(d=d, lambda_star=u, cost=float(cost), kl=kl,
+                       iterations=iterations, bracket=(lo, u),
+                       trace=tuple(trace), cost_exact=cost)

@@ -141,8 +141,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_encode(args) -> int:
     text = Path(args.text).read_text(encoding="utf-8").rstrip("\n")
-    source = load_code(args.source_code, direction="source")
-    matcher = load_code(args.matcher, direction="matcher")
+    source = load_code(args.source_code)
+    matcher = load_code(args.matcher)
     w = _load_costs(args.costs)
     if args.alphabet is None and len(w) == len(SLAT_ALPHABET):
         alphabet = SLAT_ALPHABET
@@ -164,8 +164,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     symbols = "".join(Path(args.slats).read_text(encoding="utf-8").split())
-    matcher = load_code(args.matcher, direction="matcher")
-    source = load_code(args.source_code, direction="source")
+    matcher = load_code(args.matcher)
+    source = load_code(args.source_code)
     bits = unmatch_symbols(symbols, matcher, args.bits)
     print(decompress_bits(bits, source))
     return 0

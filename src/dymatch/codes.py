@@ -18,7 +18,6 @@ from .errors import CodeFormatError
 from .pmf import DyadicPmf, kraft_sum
 
 SPACE_TOKEN = "_"
-_DIRECTIONS = ("source", "matcher")
 
 
 @dataclass(frozen=True)
@@ -60,24 +59,20 @@ class SymbolAlphabet:
 class PrefixCode:
     """Immutable symbol-to-codeword mapping, prefix-free by construction.
 
-    direction tags the intended use: a "source" code compresses symbols
-    to bits, a "matcher" code parses bits into symbol blocks. Both store
-    the mapping in the symbol-to-bits direction.
+    A source code (compressing symbols to bits) and a matcher code
+    (parsing bits into symbol blocks) are both stored symbol to bits.
 
     Prefix-freeness is enforced here; completeness (Kraft sum exactly 1,
     needed so every bit stream parses) is checked by the operations that
     rely on it, and reported by verify_kraft.
     """
 
-    __slots__ = ("entries", "direction", "_by_symbol", "_by_bits",
-                 "_lengths")
+    __slots__ = ("entries", "_by_symbol", "_by_bits", "_lengths")
 
-    def __init__(self, entries: Iterable, direction: str = "source"):
+    def __init__(self, entries: Iterable):
         pairs = tuple((str(s), str(b)) for s, b in entries)
         if not pairs:
             raise ValueError("code needs at least one entry")
-        if direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}")
         by_symbol = {}
         for sym, bits in pairs:
             if not bits or any(c not in "01" for c in bits):
@@ -91,7 +86,6 @@ class PrefixCode:
             (_, a), (_, b) = violations[0]
             raise ValueError(f"codeword {a!r} is a prefix of {b!r}")
         object.__setattr__(self, "entries", pairs)
-        object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "_by_symbol", by_symbol)
         # the parser's view: codeword to symbol, and the distinct codeword
         # lengths in ascending order
@@ -117,13 +111,13 @@ class PrefixCode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrefixCode):
             return NotImplemented
-        return self.entries == other.entries and self.direction == other.direction
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.entries, self.direction))
+        return hash(self.entries)
 
     def __repr__(self) -> str:
-        return f"PrefixCode({len(self.entries)} entries, {self.direction})"
+        return f"PrefixCode({len(self.entries)} entries)"
 
     @property
     def symbols(self) -> tuple:
@@ -171,8 +165,7 @@ def prefix_violations(pairs) -> list:
     return out
 
 
-def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet,
-                   direction: str = "matcher") -> PrefixCode:
+def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet) -> PrefixCode:
     """Assign codewords to a dyadic pmf canonically.
 
     Symbols are ordered by (length ascending, alphabet index ascending);
@@ -199,11 +192,10 @@ def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet,
         assigned[i] = format(code, f"0{l}b")
     entries = [(alphabet.symbols[i], assigned[i])
                for i in range(len(alphabet)) if i in assigned]
-    return PrefixCode(entries, direction=direction)
+    return PrefixCode(entries)
 
 
-def huffman(freqs: Sequence[float], alphabet: SymbolAlphabet,
-            direction: str = "source") -> PrefixCode:
+def huffman(freqs: Sequence[float], alphabet: SymbolAlphabet) -> PrefixCode:
     """Optimal prefix code for the given positive frequencies.
 
     Ties are broken deterministically: nodes are keyed by (weight, lowest
@@ -234,7 +226,7 @@ def huffman(freqs: Sequence[float], alphabet: SymbolAlphabet,
             stack.append((zero, prefix + "0"))
             stack.append((one, prefix + "1"))
     entries = [(alphabet.symbols[i], codewords[i]) for i in range(len(alphabet))]
-    return PrefixCode(entries, direction=direction)
+    return PrefixCode(entries)
 
 
 def _encode_token(symbol: str) -> str:
@@ -285,12 +277,12 @@ def parse_code_table(text: str) -> list:
     return pairs
 
 
-def load_code(path, direction: str = "source") -> PrefixCode:
+def load_code(path) -> PrefixCode:
     """Load a code table file; prefix-freeness violations are rejected."""
     text = Path(path).read_text(encoding="utf-8")
     pairs = parse_code_table(text)
     try:
-        return PrefixCode(pairs, direction=direction)
+        return PrefixCode(pairs)
     except ValueError as e:
         raise CodeFormatError(str(e)) from e
 

@@ -40,17 +40,17 @@ REPORTED_STRICT_COST = 0.20301
 REPORTED_BIT_BALANCE = 0.494
 
 
-def _load_data(name: str, direction: str) -> PrefixCode:
+def _load_data(name: str) -> PrefixCode:
     path = resources.files(__package__).joinpath("data", name)
     with resources.as_file(path) as p:
-        return load_code(p, direction)
+        return load_code(p)
 
 
 def source_code() -> PrefixCode:
     """Huffman code for lowercase text on the installation's corpus."""
-    return _load_data("facade_source_code.tsv", "source")
+    return _load_data("facade_source_code.tsv")
 
 
 def matcher_code() -> PrefixCode:
     """Cost-constrained matcher over slat triples at the 0.2063 budget."""
-    return _load_data("facade_matcher_k3.tsv", "matcher")
+    return _load_data("facade_matcher_k3.tsv")

@@ -176,7 +176,6 @@ def unmatch_symbols(symbols: str, matcher: PrefixCode, bit_count: int) -> str:
 
 def facade_stats(symbols: str, w: CostVector,
                  alphabet: Optional[SymbolAlphabet] = None,
-                 slot_width: float = SLOT_WIDTH,
                  bits: Optional[str] = None) -> FrequencyStats:
     """Empirical frequencies, average cost, and shadowing of a stream.
 
@@ -201,7 +200,7 @@ def facade_stats(symbols: str, w: CostVector,
     if bits:
         balance = bits.count("0") / len(bits)
     return FrequencyStats(effective_freqs=freqs, effective_cost=cost,
-                          bit_balance=balance, shadowing=cost / slot_width)
+                          bit_balance=balance, shadowing=cost / SLOT_WIDTH)
 
 
 def _chars_consumed(kept: str, matcher: PrefixCode, source_code: PrefixCode,

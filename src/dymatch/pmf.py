@@ -37,13 +37,14 @@ def as_fraction(x: Number) -> Fraction:
     """Convert a number to an exact Fraction.
 
     Decimal strings convert exactly ("0.18" becomes 9/50); floats convert
-    to their exact binary value.
+    to their exact binary value. Infinities and NaNs raise ValueError,
+    like any other input that is not a number.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (str, Decimal, int)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (float, Decimal)) and not math.isfinite(x):
+        raise ValueError(f"cannot convert {x} to Fraction: not finite")
+    if isinstance(x, (str, Decimal, int, float)):
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
@@ -316,11 +317,14 @@ def average_cost_exact(d: DyadicPmf, w: CostVector) -> Fraction:
     return Fraction(total, w.den << top)
 
 
-def _check_cap(m: int, k: int, size_cap: int) -> None:
+def check_size_cap(m: int, k: int, size_cap: int) -> None:
+    """Refuse a block extension of m symbols to length k with more than
+    size_cap entries, without computing m^k: for m >= 2, m^k >= 2^k, and
+    2^k exceeds size_cap once k reaches its bit length."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if m ** k > size_cap:
-        raise SizeCapError(f"{m}^{k} = {m ** k} entries exceeds cap {size_cap}")
+    if m > 1 and (k >= size_cap.bit_length() or m ** k > size_cap):
+        raise SizeCapError(f"{m}^{k} entries exceeds cap {size_cap}")
 
 
 def kronecker_pmf(t: Pmf, k: int, size_cap: int = SIZE_CAP) -> Pmf:
@@ -329,7 +333,7 @@ def kronecker_pmf(t: Pmf, k: int, size_cap: int = SIZE_CAP) -> Pmf:
     The first symbol of the block is most significant: for m symbols the
     block (i1, ..., ik) lands at index i1*m^(k-1) + ... + ik.
     """
-    _check_cap(len(t), k, size_cap)
+    check_size_cap(len(t), k, size_cap)
     out = t.probs
     for _ in range(k - 1):
         out = np.kron(out, t.probs)
@@ -344,7 +348,7 @@ def kronecker_cost(w: CostVector, k: int, size_cap: int = SIZE_CAP) -> CostVecto
     so blocks whose cost multisets coincide stay exactly tied regardless
     of addition order.
     """
-    _check_cap(len(w), k, size_cap)
+    check_size_cap(len(w), k, size_cap)
     out = w.nums
     for _ in range(k - 1):
         out = [a + b for a in out for b in w.nums]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,22 +43,19 @@ class TiltedSolution:
     D: float
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """A pmf's location on the distance-cost plane, optionally with the
-    tangent slope magnitude at that point."""
-
-    E: float
-    D: float
-    lam: Optional[float] = None
-
-
 def tilted_pmf(t: Pmf, w: CostVector, lam: float) -> Pmf:
     """Normalized tilted pmf proportional to t_i * 2^(-lam * w_i): the
     dyadic side's tilt, normalized. Zero-probability target symbols stay
     exactly zero."""
     x = tilt(t, w, lam).weights
     return Pmf(x / x.sum())
+
+
+def tilted_solution(t: Pmf, w: CostVector, lam: float) -> TiltedSolution:
+    """The relaxed optimum at multiplier lam: the normalized tilt, its
+    cost E and its distance D."""
+    p = tilted_pmf(t, w, lam)
+    return TiltedSolution(p, lam, average_cost(p, w), kl_divergence(p, t))
 
 
 def cost_of_lambda(t: Pmf, w: CostVector, lam: float) -> float:
@@ -71,8 +68,7 @@ def cost_of_lambda(t: Pmf, w: CostVector, lam: float) -> float:
     return float(np.dot(x / x.sum(), w.costs))
 
 
-def solve_simplex(t: Pmf, w: CostVector, E: float,
-                  tol: float = COST_TOL) -> TiltedSolution:
+def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
     """Minimize kl(p||t) over the simplex subject to w^T p <= E.
 
     Arguments:
@@ -84,7 +80,7 @@ def solve_simplex(t: Pmf, w: CostVector, E: float,
     Returns:
         TiltedSolution. For E >= w^T t the constraint is slack and the
         target itself is returned with lam = 0; otherwise lam solves
-        f(lam) = E to within tol.
+        f(lam) = E to within COST_TOL.
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
@@ -108,7 +104,7 @@ def solve_simplex(t: Pmf, w: CostVector, E: float,
     for _ in range(_MAX_BISECT):
         lam = 0.5 * (lo + u)
         fe = cost_of_lambda(t, w, lam)
-        if abs(fe - E) <= tol:
+        if abs(fe - E) <= COST_TOL:
             break
         if fe > E:
             lo = lam
@@ -116,10 +112,8 @@ def solve_simplex(t: Pmf, w: CostVector, E: float,
             u = lam
     else:
         raise ConvergenceError(
-            f"cost bisection did not reach tolerance {tol} at E={E}")
-    p_star = tilted_pmf(t, w, lam)
-    return TiltedSolution(p_star, lam, average_cost(p_star, w),
-                          kl_divergence(p_star, t))
+            f"cost bisection did not reach tolerance {COST_TOL} at E={E}")
+    return tilted_solution(t, w, lam)
 
 
 def distance_cost_curve(t: Pmf, w: CostVector,
@@ -127,8 +121,8 @@ def distance_cost_curve(t: Pmf, w: CostVector,
     """Pointwise distance-cost tradeoff D(E) over a grid of budgets.
 
     The grid must lie strictly between the cheapest supported cost and
-    w^T t; D is strictly convex and decreasing there, and the reported
-    lam at each point is the magnitude of the tangent slope.
+    w^T t; D is strictly convex and decreasing there, and the lam of
+    each returned TiltedSolution is the magnitude of the tangent slope.
     """
     wt = average_cost(t, w)
     points = []
@@ -136,8 +130,7 @@ def distance_cost_curve(t: Pmf, w: CostVector,
         if E >= wt:
             raise ValueError(
                 f"grid point {E} is not below w^T t = {wt}; D is flat there")
-        sol = solve_simplex(t, w, float(E))
-        points.append(OperatingPoint(E=sol.E, D=sol.D, lam=sol.lam))
+        points.append(solve_simplex(t, w, float(E)))
     return tuple(points)
 
 
@@ -163,12 +156,11 @@ def geometry_identity_residual(p: Pmf, t: Pmf, w: CostVector,
     return abs(lhs - rhs)
 
 
-def curve_csv(points: Sequence[OperatingPoint]) -> str:
+def curve_csv(points: Sequence[TiltedSolution]) -> str:
     """CSV text (E, D, lambda) for plotting."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["E", "D", "lambda"])
     for pt in points:
-        writer.writerow([repr(pt.E), repr(pt.D),
-                         "" if pt.lam is None else repr(pt.lam)])
+        writer.writerow([repr(pt.E), repr(pt.D), repr(pt.lam)])
     return buf.getvalue()

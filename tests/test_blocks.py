@@ -1,4 +1,6 @@
 """Blocklength extension: convergence records, chord, achievability."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from dymatch import (Pmf, SizeCapError, achievability_check, as_fraction,
                      ghc, kl_divergence, kronecker_cost, kronecker_pmf,
                      solve_simplex, sweep_csv, tilt)
 from conftest import random_costs, random_pmf
+
+BLOCKS_MODULE = importlib.import_module("dymatch.blocks")
 
 S = as_fraction("0.2063")
 
@@ -54,6 +58,15 @@ class TestConvergenceSweep:
         with pytest.raises(SizeCapError):
             convergence_sweep(facade_t, facade_w, S, 4, size_cap=27)
 
+    def test_size_cap_checked_before_solving(self, facade_t, facade_w,
+                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(BLOCKS_MODULE, "ccghc",
+                            lambda *a, **kw: calls.append(a))
+        with pytest.raises(SizeCapError):
+            convergence_sweep(facade_t, facade_w, S, 15)
+        assert calls == []
+
     def test_csv_shape(self, records):
         lines = sweep_csv(records).strip().splitlines()
         assert lines[0] == "k,kl_per_symbol,cost_per_symbol,lambda_star,gap"
@@ -94,6 +107,84 @@ class TestChord:
         d_star = solve_simplex(facade_t, facade_w, 0.2063).D
         d_prime = solve_simplex(facade_t, facade_w, ch.E_prime).D
         assert d_prime == pytest.approx(d_star + 0.01, abs=1e-9)
+
+
+def _nested_chord(t, w, E_star, epsilon):
+    # the earlier chord: a bisection on E whose every step runs a full
+    # solve_simplex
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    sol = solve_simplex(t, w, E_star)
+    target = sol.D + epsilon
+    w_min = float(w.costs[t.probs > 0].min())
+    lo = w_min + 1e-9 * (sol.E - w_min)
+    if solve_simplex(t, w, lo).D <= target:
+        raise ValueError("epsilon too large")
+    hi = sol.E
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if solve_simplex(t, w, mid).D > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, abs(sol.E)):
+            break
+    prime = solve_simplex(t, w, 0.5 * (lo + hi))
+    xi = (prime.D - sol.D) / (sol.E - prime.E)
+    return prime.E, 0.5 * (prime.E + sol.E), xi
+
+
+class TestChordOracle:
+    """chord's one bisection on the multiplier lands where the earlier
+    bisection on E, nested around solve_simplex, did."""
+
+    @staticmethod
+    def _agree(t, w, E_star, epsilon):
+        try:
+            want = _nested_chord(t, w, E_star, epsilon)
+        except ValueError:
+            with pytest.raises(ValueError):
+                chord(t, w, E_star, epsilon)
+            return False
+        got = chord(t, w, E_star, epsilon)
+        assert got.E_prime == pytest.approx(want[0], rel=0, abs=1e-10)
+        assert got.E_mid == pytest.approx(want[1], rel=0, abs=1e-10)
+        assert got.xi == pytest.approx(want[2], rel=1e-6)
+        return True
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 1e-2])
+    def test_facade(self, facade_t, facade_w, epsilon):
+        assert self._agree(facade_t, facade_w, 0.2063, epsilon)
+
+    def test_seeded_instances(self):
+        rng = np.random.default_rng(5)
+        agreed = 0
+        for _ in range(40):
+            m = int(rng.integers(2, 7))
+            t, w = random_pmf(rng, m), random_costs(rng, m)
+            lo, hi = float(w.costs.min()), float(np.dot(t.probs, w.costs))
+            E_star = lo + (hi - lo) * rng.uniform(0.05, 1.1)
+            epsilon = float(10.0 ** rng.uniform(-4, 0))
+            agreed += self._agree(t, w, E_star, epsilon)
+        # both outcomes occur: agreement and the same refusal
+        assert 0 < agreed < 40
+
+    def test_solve_simplex_at_most_twice(self, facade_t, facade_w,
+                                         monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_simplex(*args)
+
+        monkeypatch.setattr(BLOCKS_MODULE, "solve_simplex", counted)
+        for epsilon in (1e-4, 1e-3, 1e-2, 0.6):
+            calls.clear()
+            try:
+                chord(facade_t, facade_w, 0.2063, epsilon)
+            except ValueError:
+                pass
+            assert len(calls) <= 2
 
 
 class TestAchievability:

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
-                     average_cost_exact, as_fraction, brute_force_dyadic,
-                     ccghc, ghc, kl_divergence, kronecker_cost, kronecker_pmf,
-                     tilt)
+from dymatch import (CcGhcResult, ConvergenceError, CostVector,
+                     InfeasibleConstraintError, Pmf, average_cost_exact,
+                     as_fraction, brute_force_dyadic, ccghc, ghc,
+                     kl_divergence, kronecker_cost, kronecker_pmf, tilt)
+from dymatch.ccghc import Evaluation
 from dymatch.ghc import TargetWeights
 from conftest import random_costs, random_pmf
 
@@ -88,6 +89,11 @@ class TestCcghc:
         with pytest.raises(InfeasibleConstraintError):
             ccghc(T3, W3, "0.17")
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            ccghc(T3, W3, "0.2063", eps=eps)
+
     def test_infeasibility_threshold_is_supported_min(self):
         # symbol 0 is cheapest but has zero target mass: its cost does
         # not make a budget feasible
@@ -121,18 +127,29 @@ class TestCcghc:
                                 "iterations", "bracket"}
         assert "trace" in res.to_dict(include_trace=True)
 
-    def test_best_feasible_diagnostic(self):
-        res = ccghc(T3, W3, "0.21")
-        best = res.best_feasible
-        assert best is not None and best.feasible
-        assert all(best.kl <= e.kl + 1e-15 for e in res.trace if e.feasible)
-
 
 def _unsupported_shift_tilt(t, w, lam):
     # the earlier tilt, shifted by the cheapest cost of any symbol; on a
     # fully supported target it must give the very same weights
     shift = lam * float(w.costs.min())
     return TargetWeights(t.probs * np.exp2(shift - lam * w.costs))
+
+
+def seeded_instances():
+    """60 seeded fully supported (t, w, S) instances at k = 1 and 2."""
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        m, k = int(rng.integers(2, 7)), 1 + i % 2
+        t, w = random_pmf(rng, m), random_costs(rng, m)
+        lo, hi = float(min(w.exact)), float(np.dot(t.probs, w.costs))
+        S = as_fraction(f"{lo + (hi - lo) * rng.uniform(0.05, 0.95):.4f}")
+        yield (kronecker_pmf(t, k), kronecker_cost(w, k),
+               k * max(S, min(w.exact)))
+
+
+def facade_instance(k):
+    return (kronecker_pmf(T3, k), kronecker_cost(W3, k),
+            k * as_fraction("0.2063"))
 
 
 class TestTiltOracle:
@@ -147,23 +164,93 @@ class TestTiltOracle:
         return got, want
 
     def test_seeded_instances(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        for i in range(60):
-            m, k = int(rng.integers(2, 7)), 1 + i % 2
-            t, w = random_pmf(rng, m), random_costs(rng, m)
-            lo, hi = float(min(w.exact)), float(np.dot(t.probs, w.costs))
-            S = as_fraction(f"{lo + (hi - lo) * rng.uniform(0.05, 0.95):.4f}")
-            got, want = self._both(monkeypatch, kronecker_pmf(t, k),
-                                   kronecker_cost(w, k),
-                                   k * max(S, min(w.exact)))
+        for t, w, S in seeded_instances():
+            got, want = self._both(monkeypatch, t, w, S)
             assert got == want
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_facade(self, monkeypatch, k):
-        got, want = self._both(monkeypatch, kronecker_pmf(T3, k),
-                               kronecker_cost(W3, k),
-                               k * as_fraction("0.2063"))
+        got, want = self._both(monkeypatch, *facade_instance(k))
         assert got == want
+
+
+def _recomputing_ccghc(t, w, S, eps=1e-9):
+    # the earlier ccghc: the same bisection, then ghc, the exact cost and
+    # KL computed once more at the feasible end of the bracket
+    S_exact = as_fraction(S)
+    trace = []
+
+    def probe(lam):
+        d = ghc(tilt(t, w, lam))
+        cost = average_cost_exact(d, w)
+        feasible = cost <= S_exact
+        trace.append(Evaluation(lam, float(cost), kl_divergence(d, t),
+                                feasible))
+        return feasible
+
+    def result(lam, iterations, bracket):
+        d = ghc(tilt(t, w, lam))
+        cost = average_cost_exact(d, w)
+        return CcGhcResult(d=d, lambda_star=lam, cost=float(cost),
+                           kl=kl_divergence(d, t), iterations=iterations,
+                           bracket=bracket, trace=tuple(trace),
+                           cost_exact=cost)
+
+    if probe(0.0):
+        return result(0.0, 0, (0.0, 0.0))
+    lo, u = 0.0, 1.0
+    while not probe(u):
+        lo, u = u, 2.0 * u
+    iterations = 0
+    while u - lo >= eps:
+        iterations += 1
+        mid = 0.5 * (lo + u)
+        if probe(mid):
+            u = mid
+        else:
+            lo = mid
+    return result(u, iterations, (lo, u))
+
+
+class TestRecomputationOracle:
+    """The result is the search's own probe at lambda_star, and equals
+    (trace included) a final recomputation of ghc, cost and KL there."""
+
+    def test_seeded_instances(self):
+        bisected = 0
+        for t, w, S in seeded_instances():
+            got = ccghc(t, w, S)
+            assert got == _recomputing_ccghc(t, w, S)
+            bisected += got.iterations > 0
+        assert bisected > 50
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_facade(self, k):
+        t, w, S = facade_instance(k)
+        assert ccghc(t, w, S) == _recomputing_ccghc(t, w, S)
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(CCGHC_MODULE, "ghc",
+                            lambda x: calls.append(x) or ghc(x))
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_one_ghc_merge_per_probe(self, merges, k):
+        res = ccghc(*facade_instance(k))
+        assert len(merges) == len(res.trace)
+        if k == 7:
+            assert len(merges) == 37
+
+    def test_one_ghc_merge_without_bisection(self, merges):
+        res = ccghc(T3, W3, "0.245")
+        assert res.lambda_star == 0.0 and len(merges) == len(res.trace) == 1
+
+    def test_iteration_limit_is_the_module_constant(self, monkeypatch):
+        monkeypatch.setattr(CCGHC_MODULE, "MAX_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError, match="exceeded 3 iterations"):
+            ccghc(T3, W3, "0.21")
 
 
 class TestUnsupportedCheapSymbol:

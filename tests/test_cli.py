@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from importlib import resources
@@ -92,6 +93,38 @@ class TestMatch:
         assert code == 4
         assert "cap" in err
 
+    @pytest.mark.parametrize("block", [9100, 10_000_000])
+    def test_huge_block_exits_4_at_once(self, files, capsys, block):
+        # the cap is decided without computing 3^block, and the message
+        # does not print that power
+        start = time.perf_counter()
+        code, out, err = run(["match", "--target", files["target"],
+                              "--costs", files["costs"], "--budget", "0.2063",
+                              "--block", str(block)], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert out == ""
+        assert f"3^{block} entries exceeds cap 10000000" in err
+        assert len(err) < 100
+
+    def test_nan_eps_exits_3(self, files, capsys):
+        code, out, err = run(["match", "--target", files["target"],
+                              "--costs", files["costs"], "--budget", "0.2063",
+                              "--eps", "nan"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "eps must be positive" in err
+
+    def test_infinite_cost_exits_3(self, files, tmp_path, capsys):
+        costs = tmp_path / "costs.json"
+        costs.write_text('["0.18", Infinity, "0.31"]')
+        code, out, err = run(["match", "--target", files["target"],
+                              "--costs", str(costs), "--budget", "0.2063"],
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
     def test_one_symbol_result_prints_nothing(self, tmp_path, files,
                                                capsys):
         # at a budget equal to the cheapest cost the result is one symbol
@@ -163,6 +196,16 @@ class TestSweep:
         assert lines[0].startswith("k,")
         assert len(lines) == 4
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+
+    def test_size_cap_exits_4_before_solving(self, files, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["sweep", "--target", files["target"],
+                              "--costs", files["costs"],
+                              "--budget", "0.2063", "--kmax", "15"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert out == ""
+        assert "3^15 entries exceeds cap" in err
 
 
 class TestEncodeDecode:

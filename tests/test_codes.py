@@ -62,11 +62,7 @@ class TestPrefixCode:
     def test_immutable(self):
         code = PrefixCode([("a", "0"), ("b", "1")])
         with pytest.raises(AttributeError):
-            code.direction = "matcher"
-
-    def test_direction_validated(self):
-        with pytest.raises(ValueError):
-            PrefixCode([("a", "0"), ("b", "1")], direction="sideways")
+            code.entries = (("a", "1"), ("b", "0"))
 
 
 class TestPrefixViolations:
@@ -218,7 +214,7 @@ class TestCodeTableIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "code.tsv"
         save_code(source_code(), path, header="round trip check")
-        again = load_code(path, direction="source")
+        again = load_code(path)
         assert again == source_code()
 
     def test_space_symbol_round_trip(self, tmp_path):

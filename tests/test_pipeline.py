@@ -81,8 +81,7 @@ class TestMatchBits:
             assert len(res.symbols) % 3 == 0
 
     def test_rejects_incomplete_matcher(self):
-        partial = PrefixCode([("aaa", "0"), ("bbb", "10")],
-                             direction="matcher")
+        partial = PrefixCode([("aaa", "0"), ("bbb", "10")])
         with pytest.raises(ValueError):
             match_bits("0", partial)
 

@@ -1,5 +1,7 @@
 """Core types and exact arithmetic."""
 import json
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from dymatch import (SIZE_CAP, CostVector, DyadicPmf, Pmf, SizeCapError,
                      as_fraction, average_cost, average_cost_exact,
                      kl_divergence, kronecker_cost, kronecker_pmf)
+from dymatch.pmf import check_size_cap
 
 UNIFORM3 = Pmf.uniform(3)
 
@@ -27,6 +30,17 @@ class TestAsFraction:
     def test_passthrough(self):
         assert as_fraction(Fraction(3, 7)) == Fraction(3, 7)
         assert as_fraction(2) == Fraction(2)
+
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"),
+                                   Decimal("Infinity"), Decimal("-Infinity"),
+                                   Decimal("NaN")])
+    def test_non_finite_is_a_value_error(self, x):
+        with pytest.raises(ValueError, match="not finite"):
+            as_fraction(x)
+
+    def test_cost_vector_refuses_infinity(self):
+        with pytest.raises(ValueError, match="not finite"):
+            CostVector([float("inf"), "0.18"])
 
 
 class TestPmf:
@@ -190,3 +204,23 @@ class TestKronecker:
     def test_cap_boundary_allows_exact_fit(self):
         t2 = kronecker_pmf(Pmf.uniform(3), 2, size_cap=9)
         assert len(t2) == 9
+
+    @pytest.mark.parametrize("m, k, cap, fits", [
+        (2, 3, 8, True), (2, 4, 8, False), (2, 3, 7, False),
+        (3, 14, SIZE_CAP, True), (3, 15, SIZE_CAP, False),
+        (10, 7, SIZE_CAP, True), (10, 8, SIZE_CAP, False),
+        (2, 23, SIZE_CAP, True), (2, 24, SIZE_CAP, False),
+        (1, 10 ** 9, 1, True)])
+    def test_check_size_cap_boundary(self, m, k, cap, fits):
+        if fits:
+            check_size_cap(m, k, cap)
+        else:
+            with pytest.raises(SizeCapError):
+                check_size_cap(m, k, cap)
+
+    def test_huge_k_refused_without_the_power(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError) as info:
+            kronecker_pmf(Pmf.uniform(3), 10 ** 7)
+        assert time.perf_counter() - start < 0.5
+        assert str(info.value) == "3^10000000 entries exceeds cap 10000000"

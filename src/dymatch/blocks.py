@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 from .ccghc import DEFAULT_EPS, CcGhcResult, ccghc, tilt
 from .ghc import ghc
-from .pmf import (SIZE_CAP, CostVector, Number, Pmf, as_fraction,
-                  average_cost_exact, check_size_cap, kl_divergence,
-                  kronecker_cost, kronecker_pmf)
+from .pmf import (CostVector, Number, Pmf, as_fraction, average_cost_exact,
+                  check_size_cap, kl_divergence, kronecker_cost,
+                  kronecker_pmf)
 from .simplex import solve_simplex, tilted_solution
 
 
@@ -59,24 +59,23 @@ class ChordConstruction:
 
 
 def convergence_sweep(t: Pmf, w: CostVector, S: Number, k_max: int,
-                      eps: float = DEFAULT_EPS,
-                      size_cap: int = SIZE_CAP) -> tuple:
+                      eps: float = DEFAULT_EPS) -> tuple:
     """Run the constrained search at blocklengths 1..k_max.
 
     Returns one ConvergenceRecord per k. Every record is feasible
     (cost_per_symbol <= S, compared exactly); per-symbol quantities are
     computed from exact block costs with a single final float conversion.
-    A k_max past the size cap is refused before any block is solved.
+    A k_max past SIZE_CAP is refused before any block is solved.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    check_size_cap(max(len(t), len(w)), k_max, size_cap)
+    check_size_cap(max(len(t), len(w)), k_max)
     S_exact = as_fraction(S)
     d_opt = solve_simplex(t, w, float(S_exact)).D
     records = []
     for k in range(1, k_max + 1):
-        tk = kronecker_pmf(t, k, size_cap)
-        vk = kronecker_cost(w, k, size_cap)
+        tk = kronecker_pmf(t, k)
+        vk = kronecker_cost(w, k)
         res = ccghc(tk, vk, k * S_exact, eps)
         records.append(_record(k, res, d_opt))
     return tuple(records)
@@ -132,8 +131,7 @@ def chord(t: Pmf, w: CostVector, E_star: float,
 
 
 def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
-                        k: int, eps: float = DEFAULT_EPS,
-                        size_cap: int = SIZE_CAP) -> tuple:
+                        k: int) -> tuple:
     """Compare the constrained block-k solution against the chord tilt.
 
     The chord tilt Ghc(t^k * 2^(-xi v_k)) is the fixed-multiplier
@@ -146,9 +144,9 @@ def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
     """
     S_exact = as_fraction(S)
     ch = chord(t, w, float(S_exact), epsilon)
-    tk = kronecker_pmf(t, k, size_cap)
-    vk = kronecker_cost(w, k, size_cap)
-    res = ccghc(tk, vk, k * S_exact, eps)
+    tk = kronecker_pmf(t, k)
+    vk = kronecker_cost(w, k)
+    res = ccghc(tk, vk, k * S_exact)
     record = _record(k, res, solve_simplex(t, w, float(S_exact)).D)
     ok = res.cost_exact <= k * S_exact
     d_xi = ghc(tilt(tk, vk, ch.xi))

@@ -32,7 +32,6 @@ from .pmf import (CostVector, DyadicPmf, Number, Pmf, as_fraction,
                   average_cost_exact, kl_divergence)
 
 DEFAULT_EPS = 1e-9
-MAX_ITERATIONS = 200
 
 
 def tilt(t: Pmf, w: CostVector, lam: float) -> TargetWeights:
@@ -72,12 +71,13 @@ class Evaluation:
 class CcGhcResult:
     """Converged output of the constrained search.
 
-    lambda_star is the feasible end of the final bracket; d, cost_exact
-    and kl are what the search's probe at lambda_star produced, so
-    cost <= S holds exactly. d minimizes kl + lambda_star * cost over all
-    dyadic pmfs, so it has the smallest KL among dyadic pmfs costing at
-    most cost_exact; when cost_exact < S a feasible pmf with smaller KL
-    may exist.
+    lambda_star is the feasible end of the final bracket, whose ends are
+    within eps or adjacent floats; iterations counts bisection probes.
+    d, cost_exact and kl are what the search's probe at lambda_star
+    produced, so cost <= S holds exactly. d minimizes kl + lambda_star *
+    cost over all dyadic pmfs, so it has the smallest KL among dyadic
+    pmfs costing at most cost_exact; when cost_exact < S a feasible pmf
+    with smaller KL may exist.
     """
 
     d: DyadicPmf
@@ -119,8 +119,9 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
         t: target pmf.
         w: costs, one per symbol.
         S: budget; decimal strings and Fractions are honored exactly.
-        eps: bracket width at which the bisection stops; must be
-            positive (NaN is refused).
+        eps: bracket width at which the bisection stops, unless its ends
+            become adjacent floats first; must be positive (NaN is
+            refused).
 
     Returns:
         CcGhcResult. If ghc(t) is already feasible the search is skipped
@@ -129,7 +130,8 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
     Raises:
         InfeasibleConstraintError: S below the cheapest supported symbol,
             or equal costs everywhere that exceed S.
-        ConvergenceError: iteration limit hit (pathological eps).
+        ConvergenceError: no feasible multiplier up to 2^100 (the
+            bisection has no iteration limit).
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
@@ -169,18 +171,17 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
                 raise ConvergenceError(
                     "failed to bracket a feasible multiplier")
             found = probe(u)
-        while u - lo >= eps:
-            iterations += 1
-            if iterations > MAX_ITERATIONS:
-                raise ConvergenceError(
-                    f"bisection exceeded {MAX_ITERATIONS} iterations "
-                    f"(bracket width {u - lo:.3e}, eps {eps:.3e})")
-            mid = 0.5 * (lo + u)
-            at_mid = probe(mid)
-            if at_mid:
-                u, found = mid, at_mid
-            else:
-                lo = mid
+    # lo == u == 0 skips it when lambda = 0 is feasible; it also ends
+    # when no float lies strictly inside the bracket
+    mid = 0.5 * (lo + u)
+    while u - lo >= eps and lo < mid < u:
+        iterations += 1
+        at_mid = probe(mid)
+        if at_mid:
+            u, found = mid, at_mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + u)
     d, cost, kl = found
     return CcGhcResult(d=d, lambda_star=u, cost=float(cost), kl=kl,
                        iterations=iterations, bracket=(lo, u),

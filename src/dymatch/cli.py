@@ -19,8 +19,8 @@ import numpy as np
 
 from .blocks import convergence_sweep, sweep_csv
 from .ccghc import DEFAULT_EPS, ccghc
-from .codes import SPACE_TOKEN, SymbolAlphabet, canonical_code, load_code, \
-    parse_code_table, prefix_violations, verify_kraft
+from .codes import SymbolAlphabet, canonical_code, format_code_table, \
+    load_code, parse_code_table, prefix_violations, verify_kraft
 from .errors import CodeFormatError, DymatchError, InfeasibleConstraintError, \
     SizeCapError
 from .facade import SLAT_ALPHABET
@@ -72,11 +72,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _print_code_table(code) -> None:
-    for sym, bits in code.entries:
-        sys.stdout.write(f"{sym.replace(' ', SPACE_TOKEN)}\t{bits}\n")
-
-
 def _cmd_match(args) -> int:
     t = _load_pmf(args.target)
     w = _load_costs(args.costs)
@@ -87,25 +82,23 @@ def _cmd_match(args) -> int:
         raise ValueError("block length must be positive")
     S = as_fraction(args.budget)
     tokens = _parse_alphabet(args.alphabet, len(t))
-    if k > 1:
-        if any(len(tok) != 1 for tok in tokens):
-            raise ValueError("block extension needs single-character symbols")
-        target = kronecker_pmf(t, k)
-        costs = kronecker_cost(w, k)
-        blocks = tuple("".join(p) for p in itertools.product(tokens, repeat=k))
-        budget = k * S
-    else:
-        target, costs, blocks, budget = t, w, tokens, S
-    res = ccghc(target, costs, budget, eps=args.eps)
-    # a result that has no code table fails before any output
-    code = canonical_code(res.d, SymbolAlphabet(blocks))
+    if k > 1 and any(len(tok) != 1 for tok in tokens):
+        raise ValueError("block extension needs single-character symbols")
+    # the size cap is checked before any block is named
+    target = kronecker_pmf(t, k)
+    costs = kronecker_cost(w, k)
+    blocks = tuple("".join(p) for p in itertools.product(tokens, repeat=k))
+    res = ccghc(target, costs, k * S, eps=args.eps)
+    # a result that has no code table, or a table the file format cannot
+    # spell, fails before any output
+    table = format_code_table(canonical_code(res.d, SymbolAlphabet(blocks)))
     payload = res.to_dict()
     payload["block"] = k
     payload["per_symbol"] = {"cost": float(res.cost_exact / k),
                              "kl": res.kl / k}
     print(json.dumps(payload, indent=2))
     print()
-    _print_code_table(code)
+    sys.stdout.write(table)
     return 0
 
 

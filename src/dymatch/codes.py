@@ -287,8 +287,8 @@ def load_code(path) -> PrefixCode:
         raise CodeFormatError(str(e)) from e
 
 
-def save_code(code: PrefixCode, path, header: str = "") -> None:
-    """Write a code table file that load_code reads back identically."""
+def format_code_table(code: PrefixCode, header: str = "") -> str:
+    """Code-table text that parse_code_table reads back identically."""
     lines = []
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())
@@ -298,4 +298,9 @@ def save_code(code: PrefixCode, path, header: str = "") -> None:
             # survive the round trip
             raise ValueError(f"symbol {sym!r} collides with the space token")
         lines.append(f"{_encode_token(sym)}\t{bits}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def save_code(code: PrefixCode, path, header: str = "") -> None:
+    """Write a code table file that load_code reads back identically."""
+    Path(path).write_text(format_code_table(code, header), encoding="utf-8")

@@ -11,11 +11,11 @@ class InfeasibleConstraintError(DymatchError):
 
 
 class SizeCapError(DymatchError):
-    """A block extension would exceed the configured entry cap."""
+    """A block extension would exceed SIZE_CAP entries."""
 
 
 class ConvergenceError(DymatchError):
-    """An iterative solver exceeded its iteration limit."""
+    """A multiplier search found no bracket below its cap."""
 
 
 class CodeFormatError(DymatchError):

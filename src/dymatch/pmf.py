@@ -136,15 +136,12 @@ class DyadicPmf:
 
     @property
     def probs(self) -> np.ndarray:
-        # powers of two are exact in float64 for every realistic length
-        arr = np.array([0.0 if l is None else 2.0 ** -l for l in self.lengths])
+        # None becomes NaN, which fmin maps to 2000 like any length past
+        # 1074: there ldexp(1, -l), elsewhere exactly 2^-l, is 0
+        lengths = np.fmin(np.array(self.lengths, dtype=float), 2000.0)
+        arr = np.ldexp(1.0, -lengths.astype(np.int64))
         arr.flags.writeable = False
         return arr
-
-    @property
-    def probs_exact(self) -> tuple:
-        return tuple(Fraction(0) if l is None else Fraction(1, 2 ** l)
-                     for l in self.lengths)
 
     def support(self) -> tuple:
         return tuple(i for i, l in enumerate(self.lengths) if l is not None)
@@ -317,30 +314,30 @@ def average_cost_exact(d: DyadicPmf, w: CostVector) -> Fraction:
     return Fraction(total, w.den << top)
 
 
-def check_size_cap(m: int, k: int, size_cap: int) -> None:
+def check_size_cap(m: int, k: int) -> None:
     """Refuse a block extension of m symbols to length k with more than
-    size_cap entries, without computing m^k: for m >= 2, m^k >= 2^k, and
-    2^k exceeds size_cap once k reaches its bit length."""
+    SIZE_CAP entries, without computing m^k: for m >= 2, m^k >= 2^k, and
+    2^k exceeds SIZE_CAP once k reaches its bit length."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if m > 1 and (k >= size_cap.bit_length() or m ** k > size_cap):
-        raise SizeCapError(f"{m}^{k} entries exceeds cap {size_cap}")
+    if m > 1 and (k >= SIZE_CAP.bit_length() or m ** k > SIZE_CAP):
+        raise SizeCapError(f"{m}^{k} entries exceeds cap {SIZE_CAP}")
 
 
-def kronecker_pmf(t: Pmf, k: int, size_cap: int = SIZE_CAP) -> Pmf:
+def kronecker_pmf(t: Pmf, k: int) -> Pmf:
     """Product pmf of k iid symbols, in lexicographic block order.
 
     The first symbol of the block is most significant: for m symbols the
     block (i1, ..., ik) lands at index i1*m^(k-1) + ... + ik.
     """
-    check_size_cap(len(t), k, size_cap)
+    check_size_cap(len(t), k)
     out = t.probs
     for _ in range(k - 1):
         out = np.kron(out, t.probs)
     return Pmf(out)
 
 
-def kronecker_cost(w: CostVector, k: int, size_cap: int = SIZE_CAP) -> CostVector:
+def kronecker_cost(w: CostVector, k: int) -> CostVector:
     """Kronecker-sum cost of k-symbol blocks, same index order as
     kronecker_pmf: the block (i1, ..., ik) costs w_i1 + ... + w_ik.
 
@@ -348,7 +345,7 @@ def kronecker_cost(w: CostVector, k: int, size_cap: int = SIZE_CAP) -> CostVecto
     so blocks whose cost multisets coincide stay exactly tied regardless
     of addition order.
     """
-    check_size_cap(len(w), k, size_cap)
+    check_size_cap(len(w), k)
     out = w.nums
     for _ in range(k - 1):
         out = [a + b for a in out for b in w.nums]

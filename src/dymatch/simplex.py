@@ -26,7 +26,6 @@ from .errors import ConvergenceError, InfeasibleConstraintError
 from .pmf import CostVector, Pmf, average_cost, kl_divergence
 
 COST_TOL = 1e-12
-_MAX_BISECT = 300
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,13 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
 
     Returns:
         TiltedSolution. For E >= w^T t the constraint is slack and the
-        target itself is returned with lam = 0; otherwise lam solves
-        f(lam) = E to within COST_TOL.
+        target itself is returned with lam = 0; otherwise E is within
+        COST_TOL of the budget, or as close as floats allow where
+        COST_TOL is finer than their spacing (costs in the thousands).
+
+    Raises:
+        InfeasibleConstraintError: E at or below the cheapest supported cost.
+        ConvergenceError: f(lam) is still above E at lam = 2^128.
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
@@ -100,9 +104,8 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
         lo, u = u, 2.0 * u
         if u > 2.0 ** 128:
             raise ConvergenceError("failed to bracket the multiplier")
-    lam = u
-    for _ in range(_MAX_BISECT):
-        lam = 0.5 * (lo + u)
+    lam = 0.5 * (lo + u)
+    while lo < lam < u:
         fe = cost_of_lambda(t, w, lam)
         if abs(fe - E) <= COST_TOL:
             break
@@ -110,9 +113,7 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
             lo = lam
         else:
             u = lam
-    else:
-        raise ConvergenceError(
-            f"cost bisection did not reach tolerance {COST_TOL} at E={E}")
+        lam = 0.5 * (lo + u)
     return tilted_solution(t, w, lam)
 
 

@@ -56,7 +56,7 @@ class TestConvergenceSweep:
 
     def test_size_cap_honored(self, facade_t, facade_w):
         with pytest.raises(SizeCapError):
-            convergence_sweep(facade_t, facade_w, S, 4, size_cap=27)
+            convergence_sweep(facade_t, facade_w, S, 15)
 
     def test_size_cap_checked_before_solving(self, facade_t, facade_w,
                                              monkeypatch):

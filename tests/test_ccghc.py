@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dymatch import (CcGhcResult, ConvergenceError, CostVector,
-                     InfeasibleConstraintError, Pmf, average_cost_exact,
-                     as_fraction, brute_force_dyadic, ccghc, ghc,
-                     kl_divergence, kronecker_cost, kronecker_pmf, tilt)
+from dymatch import (CcGhcResult, CostVector, InfeasibleConstraintError,
+                     Pmf, average_cost_exact, as_fraction, brute_force_dyadic,
+                     ccghc, ghc, kl_divergence, kronecker_cost,
+                     kronecker_pmf, tilt)
 from dymatch.ccghc import Evaluation
 from dymatch.ghc import TargetWeights
 from conftest import random_costs, random_pmf
@@ -247,10 +247,22 @@ class TestRecomputationOracle:
         res = ccghc(T3, W3, "0.245")
         assert res.lambda_star == 0.0 and len(merges) == len(res.trace) == 1
 
-    def test_iteration_limit_is_the_module_constant(self, monkeypatch):
-        monkeypatch.setattr(CCGHC_MODULE, "MAX_ITERATIONS", 3)
-        with pytest.raises(ConvergenceError, match="exceeded 3 iterations"):
-            ccghc(T3, W3, "0.21")
+
+class TestFloatResolution:
+    """The bisection ends when no float lies strictly inside the bracket,
+    so an eps below the float spacing of lambda_star converges instead of
+    probing the same midpoint again."""
+
+    def test_eps_below_float_spacing(self):
+        t, w, S = facade_instance(3)
+        res = ccghc(t, w, S, eps=1e-20)
+        lo, u = res.bracket
+        assert u == np.nextafter(lo, np.inf)
+        assert res.lambda_star == u
+        assert res.d.lengths == ccghc(t, w, S).d.lengths
+        lams = [e.lam for e in res.trace]
+        assert len(set(lams)) == len(lams)
+        assert res.iterations == len(lams) - 6  # probes 0, 1, 2, 4, 8, 16
 
 
 class TestUnsupportedCheapSymbol:

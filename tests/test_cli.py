@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from importlib import resources
 
@@ -138,6 +139,37 @@ class TestMatch:
         assert out == ""
         assert "empty codeword" in err and "all its mass on 'a'" in err
 
+    def test_eps_below_float_spacing_exits_0(self, files, capsys):
+        argv = ["match", "--target", files["target"], "--costs",
+                files["costs"], "--budget", "0.2063", "--block", "3"]
+        code, out, _ = run(argv + ["--eps", "1e-20"], capsys)
+        assert code == 0
+        payload = json.loads(out.split("\n\n", 1)[0])
+        lo, u = payload["bracket"]
+        assert u == np.nextafter(lo, np.inf)
+        _, default_out, _ = run(argv, capsys)
+        default = json.loads(default_out.split("\n\n", 1)[0])
+        assert payload["lengths"] == default["lengths"]
+
+    def test_space_token_in_alphabet_exits_3(self, files, capsys):
+        # "_" spells space in a code table, so a literal "_" symbol would
+        # read back as a space
+        code, out, err = run(["match", "--target", files["target"],
+                              "--costs", files["costs"], "--budget", "0.2063",
+                              "--alphabet", "_,a,b"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "collides with the space token" in err
+
+    def test_block_one_multichar_tokens(self, files, capsys):
+        code, out, _ = run(["match", "--target", files["target"],
+                            "--costs", files["costs"], "--budget", "0.2063",
+                            "--alphabet", "aa,bb,cc"], capsys)
+        assert code == 0
+        # the result is (1, 1, None): the costliest symbol is dropped
+        assert parse_table(out.split("\n\n", 1)[1]) == {"aa": "0",
+                                                         "bb": "1"}
+
     def test_multichar_tokens_reject_blocks(self, files, capsys):
         code, _, err = run(["match", "--target", files["target"],
                             "--costs", files["costs"],
@@ -159,6 +191,19 @@ class TestOptimal:
         assert payload["lambda"] == pytest.approx(7.532932, abs=1e-5)
         assert payload["E"] == pytest.approx(0.2063, abs=1e-12)
         assert payload["D"] == pytest.approx(0.06075, abs=1e-4)
+
+    def test_large_costs_exit_0(self, files, tmp_path, capsys):
+        # 1e-12 is finer than the float spacing of E here; the bisection
+        # ends at float resolution instead
+        costs = tmp_path / "costs.json"
+        costs.write_text(json.dumps(["10000", "20000", "31000"]))
+        budget = "11851.855815652343"
+        code, out, err = run(["optimal", "--target", files["target"],
+                              "--costs", str(costs), "--budget", budget],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["E"] == pytest.approx(float(budget),
+                                                     rel=1e-15)
 
     def test_infeasible_exits_2(self, files, capsys):
         code, _, _ = run(["optimal", "--target", files["target"],

@@ -1,4 +1,5 @@
 """Core types and exact arithmetic."""
+import importlib
 import json
 import time
 from decimal import Decimal
@@ -14,6 +15,7 @@ from dymatch import (SIZE_CAP, CostVector, DyadicPmf, Pmf, SizeCapError,
                      kl_divergence, kronecker_cost, kronecker_pmf)
 from dymatch.pmf import check_size_cap
 
+PMF_MODULE = importlib.import_module("dymatch.pmf")
 UNIFORM3 = Pmf.uniform(3)
 
 
@@ -88,8 +90,17 @@ class TestDyadicPmf:
 
     def test_none_is_probability_zero(self):
         d = DyadicPmf((1, 1, None))
-        assert d.probs_exact == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
         assert d.support() == (0, 1)
+
+    @pytest.mark.parametrize("lengths", [
+        (1, 2, 2), (None, 1, None, 2, 3, 3),
+        tuple(range(1, 1100)) + (1099,),  # 2^-l underflows past 1074
+        (None,) * 5 + (0,)])
+    def test_probs_equal_list_of_powers(self, lengths):
+        d = DyadicPmf(lengths)
+        want = np.array([0.0 if l is None else 2.0 ** -l for l in lengths])
+        assert np.array_equal(d.probs, want)
+        assert not d.probs.flags.writeable
 
     def test_kraft_sum_exact(self):
         assert DyadicPmf((2, 2, 2, 2)).kraft_sum() == 1
@@ -196,14 +207,14 @@ class TestKronecker:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            kronecker_pmf(Pmf.uniform(10), 8, size_cap=10 ** 7)
+            kronecker_pmf(Pmf.uniform(3), 15)
         with pytest.raises(SizeCapError):
-            kronecker_cost(CostVector(["0.1"] * 10), 8, size_cap=10 ** 7)
+            kronecker_cost(CostVector(["0.1"] * 3), 15)
         assert SIZE_CAP == 10 ** 7
 
     def test_cap_boundary_allows_exact_fit(self):
-        t2 = kronecker_pmf(Pmf.uniform(3), 2, size_cap=9)
-        assert len(t2) == 9
+        t7 = kronecker_pmf(Pmf.uniform(10), 7)
+        assert len(t7) == SIZE_CAP
 
     @pytest.mark.parametrize("m, k, cap, fits", [
         (2, 3, 8, True), (2, 4, 8, False), (2, 3, 7, False),
@@ -211,12 +222,14 @@ class TestKronecker:
         (10, 7, SIZE_CAP, True), (10, 8, SIZE_CAP, False),
         (2, 23, SIZE_CAP, True), (2, 24, SIZE_CAP, False),
         (1, 10 ** 9, 1, True)])
-    def test_check_size_cap_boundary(self, m, k, cap, fits):
+    def test_check_size_cap_boundary(self, m, k, cap, fits, monkeypatch):
+        # the rule holds for any value of the module constant
+        monkeypatch.setattr(PMF_MODULE, "SIZE_CAP", cap)
         if fits:
-            check_size_cap(m, k, cap)
+            check_size_cap(m, k)
         else:
             with pytest.raises(SizeCapError):
-                check_size_cap(m, k, cap)
+                check_size_cap(m, k)
 
     def test_huge_k_refused_without_the_power(self):
         start = time.perf_counter()

@@ -1,4 +1,8 @@
 """The relaxed problem: tilted family, tradeoff curve, geometry."""
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -129,6 +133,44 @@ class TestSolveSimplex:
             # interior-point noise near the boundary, so compare looser
             assert abs(prob.value / np.log(2) - sol.D) < 1e-8
             assert np.max(np.abs(p.value - sol.p_star.probs)) < 1e-6
+
+
+def small_instances(seed, n):
+    """Instances shaped like perfbench's random-small workload: 3-8
+    symbols, distinct 4-decimal costs in [0.05, 1], an exponential-draw
+    target, and a 4-decimal budget between the mean of the two cheapest
+    costs and w^T t."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        m = 3 + i % 6
+        cents = rng.sample(range(500, 10001), m)
+        x = [rng.expovariate(1.0) for _ in range(m)]
+        t = [v / math.fsum(x) for v in x]
+        a, b = sorted(cents)[:2]
+        lo = (a + b + 1) // 2
+        wt = math.floor(sum(p * c for p, c in zip(t, cents)))
+        out.append((Pmf(np.array(t)), [Fraction(c, 10000) for c in cents],
+                    Fraction(rng.randint(lo, max(lo, wt)), 10000)))
+    return out
+
+
+class TestUnitInvariance:
+    """Rescaling the costs (and the budget) by 10^j rescales E by 10^j and
+    lam by 10^-j and leaves D alone. With costs in the thousands COST_TOL
+    is finer than the float spacing of E, so success must not hinge on
+    meeting it."""
+
+    def test_scaled_costs(self):
+        for t, w, S in small_instances(7, 60):
+            base = solve_simplex(t, CostVector(w), float(S))
+            for j in range(1, 9):
+                s = 10 ** j
+                sol = solve_simplex(t, CostVector([c * s for c in w]),
+                                    float(S * s))
+                assert abs(sol.D - base.D) <= 1e-9
+                assert sol.lam * s == pytest.approx(base.lam, rel=1e-7)
+                assert sol.E / s == pytest.approx(base.E, rel=1e-11)
 
 
 class TestDistanceCostCurve:

@@ -43,8 +43,8 @@ def tilt(t: Pmf, w: CostVector, lam: float) -> TargetWeights:
     the cheapest supported symbol at its target weight, so no multiplier
     underflows every weight that matters. Shifting by an unsupported
     cheaper cost would not: with an unused symbol of cost 0 and the
-    others near 10, lam = 54 scales every supported weight by about
-    2^-540, and the product inside ghc's geometric-mean merge underflows.
+    others near 10, lam = 110 scales every supported weight by about
+    2^-1100, which is 0 as a float.
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")

@@ -7,6 +7,19 @@ of the sum, and a pair whose weights are more than a factor of four apart
 is not merged at all, the smaller node is dropped and its entire subtree
 ends up with probability zero.
 
+The merge works on runs of equal weight, as run-length Huffman coding
+does (Moffat and Turpin 1998): a run of n nodes becomes n//2 nodes of
+twice the weight in one step, and only an odd node left over meets the
+next-heavier run under the drop rule. Block targets have few distinct
+weights (the facade's 3^k blocks have k+1), so this takes a step per
+run where merging the lightest two nodes at a time takes one per leaf.
+Nodes are taken in the order (weight, smallest leaf index) that the
+node-at-a-time merge uses, so both give the same tree. The weights are
+first scaled by the power of two that puts the largest in [0.5, 1). The
+products in the merge then never overflow, and whether one underflows
+depends on the weights' ratios, not on their scale: 1e-200 and 1e300
+merge like 1.
+
 brute_force_dyadic enumerates every dyadic pmf on small instances. It is
 the self-contained optimality oracle: the test suite certifies ghc against
 it, so the implementation does not lean on any external statement of the
@@ -14,10 +27,11 @@ merge rule being correct.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush, heapreplace
+from math import frexp, ldexp, sqrt
 
 import numpy as np
 
@@ -73,34 +87,79 @@ def ghc(x) -> DyadicPmf:
 
     Ties on the minimum weight are broken toward the lowest original
     symbol index, and a merged node inherits the smallest index in its
-    subtree, so the output is deterministic.
+    subtree, so the output is deterministic. Equal weights are merged a
+    run at a time, pairing the run's nodes in index order, which keeps
+    that tie rule. The weights are scaled by a power of two first, so
+    ghc(c * x) equals ghc(x) for a power of two c whenever c * x is
+    exact (no entry overflows or loses bits to underflow).
     """
-    w = _as_weights(x)
-    m = len(w)
-    # heap items: (weight, min original index in subtree, tree)
-    # trees: int leaf index, or (left, right) pair
-    heap = [(float(w[i]), i, i) for i in range(m) if w[i] > 0]
-    if not heap:
+    w = _as_weights(x).tolist()
+    shift = -frexp(max(w))[1]
+    # a run is the nodes of one weight in index order, held as two
+    # sequences: each node's smallest leaf index and its subtree, a leaf
+    # index or a (left, right) pair, so a run of leaves is one list
+    # twice. order is a heap of (weight, smallest index, indices,
+    # subtrees) over the runs of positive weight; a merge may queue a
+    # second run of a weight, and the two are joined when it is popped.
+    runs: dict = {}
+    order = []
+    for i, v in enumerate(w):
+        run = runs.get(v)
+        if run is None:
+            runs[v] = run = [i]
+            v = ldexp(v, shift)
+            if v > 0:
+                order.append((v, i, run, run))
+        else:
+            run.append(i)
+    if not order:
         raise ValueError("weights must have at least one positive entry")
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        wa, ta, a = heapq.heappop(heap)
-        wb, tb, b = heapq.heappop(heap)
-        if wb >= 4.0 * wa:
+    heapify(order)
+    while True:
+        v, _, index, tree = heappop(order)
+        while order and order[0][0] == v:
+            _, _, more_index, more_tree = heappop(order)
+            index, tree = zip(*sorted([*zip(index, tree),
+                                       *zip(more_index, more_tree)]))
+        n = len(index)
+        if n > 1:
+            # the lightest two nodes are the run's first two, then its
+            # next two: each merged node is heavier than the rest of it.
+            # zip over one iterator takes the subtrees two at a time.
+            pairs = iter(tree)
+            heappush(order, (2.0 * sqrt(v * v), index[0], index[:n - 1:2],
+                             list(zip(pairs, pairs))))
+            if not n % 2:
+                continue
+        # a lone node meets the lowest-index node of the next-heavier run
+        i, a = index[-1], tree[-1]
+        if not order:
+            break
+        u, j, heavier_index, heavier_tree = order[0]
+        if u >= 4.0 * v:
             # keeping the small node cannot pay for the extra depth
-            heapq.heappush(heap, (wb, tb, b))
+            continue
+        if j < i:
+            i = j
+        merged = (2.0 * sqrt(v * u), i, [i], [(a, heavier_tree[0])])
+        if len(heavier_index) > 1:
+            heapreplace(order, (u, heavier_index[1], heavier_index[1:],
+                                heavier_tree[1:]))
+            heappush(order, merged)
         else:
-            heapq.heappush(heap, (2.0 * math.sqrt(wa * wb), min(ta, tb), (a, b)))
-    lengths: list = [None] * m
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, int):
-            lengths[node] = depth
-        else:
-            left, right = node
-            stack.append((left, depth + 1))
-            stack.append((right, depth + 1))
+            heapreplace(order, merged)
+    lengths: list = [None] * len(w)
+    level = [a]
+    depth = 0
+    while level:
+        below = []
+        for node in level:
+            if type(node) is int:
+                lengths[node] = depth
+            else:
+                below += node
+        level = below
+        depth += 1
     return DyadicPmf(tuple(lengths))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dymatch import CostVector, Pmf
+from dymatch import CostVector, Pmf, as_fraction
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 
 settings.register_profile(
@@ -72,3 +72,16 @@ def random_pmf(rng: np.random.Generator, m: int, floor: float = 0.01) -> Pmf:
 def random_costs(rng: np.random.Generator, m: int) -> CostVector:
     # round to avoid astronomically fine rationals in exact comparisons
     return CostVector([round(c, 4) for c in rng.uniform(0.05, 1.0, m)])
+
+
+def seeded_instances():
+    """60 seeded (target, costs, blocklength, budget) instances: 2-6
+    symbols, blocklength 1 or 2, and a per-symbol budget between the
+    cheapest symbol and the target's own cost, written to 4 places."""
+    rng = np.random.default_rng(23)
+    for i in range(60):
+        m, k = int(rng.integers(2, 7)), 1 + i % 2
+        t, w = random_pmf(rng, m), random_costs(rng, m)
+        lo, hi = float(min(w.exact)), float(np.dot(t.probs, w.costs))
+        S = as_fraction(f"{lo + (hi - lo) * rng.uniform(0.05, 0.95):.4f}")
+        yield t, w, k, k * max(S, min(w.exact))

@@ -1,4 +1,5 @@
 """CLI subcommands, output formats, and exit codes."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,20 @@ from dymatch.cli import main
 from dymatch.facade import matcher_code
 
 PHRASE = "shannon the fu"
+
+# sha256 of `match --block k --alphabet lrm` stdout on the facade, taken
+# before ghc merged runs of equal weight: a changed length or codeword
+# shows here
+MATCH_SHA256 = {
+    1: "6c09094e7e394f47aaa408435b27d1cdbfb7b7675b5c54efd4d3acf615077bbb",
+    2: "6b57c698d9efb05e4f399259689305e3ae7bac87b72022833c31aacac5c3fb64",
+    3: "76a85e35092ae8b9f2174e59832f64d4bab52e63ba6f32b5d324ff6cc50d1f3b",
+    4: "0e7ee6692468d64478d5312b817862325d3604855caae12c1e8fc7e3ca4f7983",
+    5: "a61248aecd9e53509193948ee343b16617d1b2cf373d776408b6858da119d2b2",
+    6: "1a59939e3d51d6c0f31f43b11d1c31e6c3a7acde9aec38bdfe5a7ba8285a4767",
+    7: "c63f5bd050f02ba61e3c48731f8ddbf2a9aae4c6de2cc8d6fceeb6aff7fca956",
+    8: "a388bc72633dcc8e32445cd1e6eb186797acb2d9e71af2eda4c4c2f7df474b61",
+}
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +94,14 @@ class TestMatch:
         got = {s: len(b) for s, b in parse_table(table_text).items()}
         want = {s: len(b) for s, b in matcher_code().entries}
         assert got == want
+
+    @pytest.mark.parametrize("k", sorted(MATCH_SHA256))
+    def test_facade_output_pinned(self, files, capsys, k):
+        code, out, _ = run(["match", "--target", files["target"],
+                            "--costs", files["costs"], "--budget", "0.2063",
+                            "--block", str(k), "--alphabet", "lrm"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == MATCH_SHA256[k]
 
     def test_infeasible_exits_2(self, files, capsys):
         code, _, err = run(["match", "--target", files["target"],

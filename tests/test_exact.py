@@ -9,7 +9,6 @@ import importlib
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +18,7 @@ from dymatch import (CostVector, DyadicPmf, as_fraction,
                      kronecker_pmf, verify_kraft)
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 from dymatch.pmf import kraft_sum
-from conftest import random_costs, random_pmf
+from conftest import seeded_instances
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 
@@ -175,15 +174,9 @@ class TestCcGhcAgainstFractionPath:
         return got, want
 
     def test_seeded_instances(self, monkeypatch):
-        rng = np.random.default_rng(23)
         bisected = 0
-        for i in range(60):
-            m, k = int(rng.integers(2, 7)), 1 + i % 2
-            t, w = random_pmf(rng, m), random_costs(rng, m)
-            lo, hi = float(min(w.exact)), float(np.dot(t.probs, w.costs))
-            S = as_fraction(f"{lo + (hi - lo) * rng.uniform(0.05, 0.95):.4f}")
-            got, want = self._both(monkeypatch, t, w, k,
-                                   k * max(S, min(w.exact)))
+        for t, w, k, S in seeded_instances():
+            got, want = self._both(monkeypatch, t, w, k, S)
             assert got == want
             bisected += got.iterations > 0
         assert bisected > 40

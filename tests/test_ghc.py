@@ -1,13 +1,83 @@
-"""Geometric Huffman coding against its brute-force oracle."""
+"""Geometric Huffman coding against its brute-force oracle, and the run
+merge against the node-at-a-time merge it replaced."""
+import heapq
+import importlib
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dymatch import (Pmf, TargetWeights, brute_force_dyadic, ghc,
-                     kl_divergence)
+from dymatch import (DyadicPmf, Pmf, TargetWeights, brute_force_dyadic,
+                     ccghc, ghc, kl_divergence, kronecker_cost,
+                     kronecker_pmf)
+from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
+from dymatch.ghc import _as_weights
+from conftest import seeded_instances
 
+CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 LOG2_3 = float(np.log2(3))
+KRON_321 = np.kron([3.0, 2.0, 1.0], [3.0, 2.0, 1.0]).tolist()
+
+
+def heap_ghc(x) -> DyadicPmf:
+    """ghc as one heap operation per node: pop the lightest two by
+    (weight, smallest leaf index), drop the lighter at 4x, else push
+    their merge. Its products overflow or underflow for weights far
+    from 1 (1e300 or 1e-200), so it is the oracle only in between."""
+    w = _as_weights(x)
+    m = len(w)
+    heap = [(float(w[i]), i, i) for i in range(m) if w[i] > 0]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        wa, ta, a = heapq.heappop(heap)
+        wb, tb, b = heapq.heappop(heap)
+        if wb >= 4.0 * wa:
+            heapq.heappush(heap, (wb, tb, b))
+        else:
+            heapq.heappush(heap, (2.0 * math.sqrt(wa * wb), min(ta, tb),
+                                  (a, b)))
+    lengths: list = [None] * m
+    stack = [(heap[0][2], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, int):
+            lengths[node] = depth
+        else:
+            left, right = node
+            stack.append((left, depth + 1))
+            stack.append((right, depth + 1))
+    return DyadicPmf(tuple(lengths))
+
+
+def _four_times(a: float) -> list:
+    """a with 4a and the floats either side of 4a: the drop rule's edge."""
+    four = 4.0 * a
+    return [a, float(np.nextafter(four, 0.0)), four,
+            float(np.nextafter(four, np.inf))]
+
+
+@st.composite
+def tied_weights(draw):
+    """Weights with many exact ties: small integers, zeros, powers of two
+    (some far apart), 4x pairs, and Kronecker squares, scaled by a power
+    of two with every positive weight kept in [2^-400, 2^400]."""
+    atom = st.one_of(st.integers(0, 6).map(float),
+                     st.integers(-6, 6).map(lambda e: 2.0 ** e),
+                     st.integers(-190, 190).map(lambda e: 2.0 ** e))
+    xs = draw(st.lists(atom, min_size=1, max_size=24))
+    for a in draw(st.lists(atom.filter(lambda v: v > 0), max_size=2)):
+        xs += draw(st.permutations(_four_times(a)))
+    if draw(st.booleans()):
+        xs = np.kron(xs[:8], xs[:8]).tolist()
+    positive = [v for v in xs if v > 0]
+    assume(positive)
+    lo = math.frexp(min(positive))[1] - 1
+    hi = math.frexp(max(positive))[1]
+    assume(hi - lo <= 800)
+    shift = draw(st.integers(-400 - lo, 400 - hi))
+    return [math.ldexp(v, shift) for v in xs]
 
 
 def dyadic_kl(d, weights) -> float:
@@ -127,3 +197,52 @@ class TestOptimalityOracle:
         again = ghc(tuple(d.probs))
         assert again.lengths == d.lengths
         assert dyadic_kl(again, d.probs) == 0.0
+
+
+class TestAgainstHeapMerge:
+    """The run merge gives heap_ghc's lengths, ties and drops included."""
+
+    @staticmethod
+    def _check_probes(monkeypatch, t, w, k, S) -> int:
+        """Run ccghc with every probe's ghc checked; return the probes."""
+        probes = []
+
+        def checked(x):
+            got = ghc(x)
+            assert got.lengths == heap_ghc(x).lengths
+            probes.append(x)
+            return got
+
+        with monkeypatch.context() as m:
+            m.setattr(CCGHC_MODULE, "ghc", checked)
+            ccghc(kronecker_pmf(t, k), kronecker_cost(w, k), S)
+        return len(probes)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_facade_probes(self, monkeypatch, k):
+        probes = self._check_probes(monkeypatch, TARGET, SLAT_COSTS, k,
+                                    k * SHADOWING_BUDGET)
+        assert probes > 30
+
+    def test_seeded_probes(self, monkeypatch):
+        probes = sum(self._check_probes(monkeypatch, t, w, k, S)
+                     for t, w, k, S in seeded_instances())
+        assert probes > 60 * 30
+
+    # the square of (3, 2, 1): leaves 1 and 3 and a merged node with
+    # index 2 meet at weight 6, queued as two runs out of index order
+    @given(tied_weights())
+    @example(KRON_321)
+    def test_tied_weights(self, xs):
+        assert ghc(xs).lengths == heap_ghc(xs).lengths
+
+    @given(tied_weights(), st.sampled_from([-600, 600]))
+    @example(KRON_321, 600)
+    def test_far_scales(self, xs, shift):
+        # heap_ghc's own products overflow or underflow here
+        scaled = [math.ldexp(v, shift) for v in xs]
+        assert ghc(scaled).lengths == heap_ghc(xs).lengths
+
+    @pytest.mark.parametrize("v", [1e-200, 1e300, 1e-310, 5e-324])
+    def test_equal_weights_at_any_scale(self, v):
+        assert ghc((v, v, v)).lengths == (2, 2, 1)

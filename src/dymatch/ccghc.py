@@ -18,16 +18,29 @@ result on 6 of the 25 seeded instances in TestLagrangianOptimality.
 Feasibility at the boundary is decided by exact rational comparison of
 the dyadic cost against the budget, never by floats: the interesting
 budgets sit within 1e-4 of the achieved cost.
+
+The probes work on type classes, not on leaves. Leaves with equal target
+weight and equal cost tilt to equal weights at every multiplier, so
+ccghc groups them once, and each probe tilts one weight per class and
+runs ghc's merge core, merge_classes, on them (the facade's 3^k blocks
+form k+1 classes). A probe's Kraft sum and exact cost are integer sums
+over the blocks of the code tree, and its KL is kl_divergence on the
+expanded probabilities, so the trace is what probing the leaves gives.
+The result is certified once on the leaves: ghc, average_cost_exact and
+kl_divergence recompute it at lambda_star, and any disagreement with
+the class probe raises RuntimeError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ldexp
 
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleConstraintError
-from .ghc import TargetWeights, ghc
+from .ghc import (TargetWeights, ghc, group_leaves, leaf_lengths,
+                  merge_classes)
 from .pmf import (CostVector, DyadicPmf, Number, Pmf, as_fraction,
                   average_cost_exact, kl_divergence)
 
@@ -37,6 +50,9 @@ DEFAULT_EPS = 1e-9
 def tilt(t: Pmf, w: CostVector, lam: float) -> TargetWeights:
     """Tilted target t_i * 2^(lam * (w_min - w_i)), w_min the cheapest
     cost among symbols with t_i > 0; entries with t_i = 0 are exactly 0.
+    t may also be any per-entry weights t.probs, such as ccghc's type
+    classes; each entry is tilted on its own, so a class tilts exactly
+    as each of its members does.
 
     This is t * 2^(-lam w) times the constant 2^(lam w_min), which
     changes neither ghc's minimizer nor a normalized pmf. The shift keeps
@@ -55,6 +71,25 @@ def tilt(t: Pmf, w: CostVector, lam: float) -> TargetWeights:
     out = np.zeros(len(tp))
     out[supported] = tp[supported] * np.exp2(shift - lam * costs)
     return TargetWeights(out)
+
+
+class _TypeClasses:
+    """An instance's leaves grouped into type classes: leaves with equal
+    target weight and equal cost, which tilt to equal weights at every
+    multiplier. probs and cost hold one member's target weight and cost
+    per class, so tilt(classes, classes.cost, lam) tilts every member at
+    once; order and starts list the members as group_leaves does."""
+
+    __slots__ = ("probs", "cost", "order", "starts")
+
+    def __init__(self, t: Pmf, w: CostVector):
+        keys, self.order, self.starts = group_leaves(
+            zip(t.probs.tolist(), w.nums))
+        self.probs = np.array([p for p, _ in keys])
+        self.cost = CostVector._scaled(tuple(n for _, n in keys), w.den)
+
+    def __len__(self) -> int:
+        return len(self.probs)
 
 
 @dataclass(frozen=True)
@@ -121,7 +156,10 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
         S: budget; decimal strings and Fractions are honored exactly.
         eps: bracket width at which the bisection stops, unless its ends
             become adjacent floats first; must be positive (NaN is
-            refused).
+            refused). It is a width in multiplier units, the inverse of
+            the cost unit: costs scaled by c give the same tilts at
+            lambda / c, so the same eps resolves lambda_star c times
+            more coarsely relative to its size.
 
     Returns:
         CcGhcResult. If ghc(t) is already feasible the search is skipped
@@ -145,16 +183,35 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
             f"budget {S_exact} is below the cheapest supported symbol cost "
             f"{cheapest}")
 
+    classes = _TypeClasses(t, w)
+    order, starts, nums = classes.order, classes.starts, classes.cost.nums
+    # the probabilities class by class, and each leaf's place among them
+    by_class = np.zeros(len(t))
+    place = np.empty(len(t), dtype=np.intp)
+    place[order] = np.arange(len(t))
     trace = []
 
     def probe(lam: float):
-        """(d, exact cost, KL) at lam when feasible, else None."""
-        d = ghc(tilt(t, w, lam))
-        cost = average_cost_exact(d, w)
-        kl = kl_divergence(d, t)
+        """(blocks, exact cost, KL) at lam when feasible, else None."""
+        blocks = merge_classes(
+            tilt(classes, classes.cost, lam).weights.tolist(), order, starts)
+        # Kraft sum and cost over 2^top: a block at depth D holds 2^-D of
+        # the probability, all of it on members of one class
+        top = blocks[-1][0]
+        kraft = cost = 0
+        by_class.fill(0.0)
+        for depth, c, pos, d in blocks:
+            kraft += 1 << (top - depth)
+            cost += nums[c] << (top - depth)
+            by_class[pos:pos + (1 << d)] = ldexp(1.0, -depth - d)
+        if kraft != 1 << top:
+            raise ValueError(f"Kraft sum is {Fraction(kraft, 1 << top)}, "
+                             "not 1")
+        cost = Fraction(cost, w.den << top)
+        kl = kl_divergence(by_class[place], t)
         feasible = cost <= S_exact
         trace.append(Evaluation(lam, float(cost), kl, feasible))
-        return (d, cost, kl) if feasible else None
+        return (blocks, cost, kl) if feasible else None
 
     # found is always the probe at u, the feasible end of the bracket
     lo = u = 0.0
@@ -182,7 +239,14 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
         else:
             lo = mid
         mid = 0.5 * (lo + u)
-    d, cost, kl = found
+    # certify the class probe at u on the leaves themselves
+    blocks, cost, kl = found
+    d = ghc(tilt(t, w, u))
+    if (d.lengths != tuple(leaf_lengths(blocks, order))
+            or average_cost_exact(d, w) != cost
+            or kl_divergence(d, t) != kl):
+        raise RuntimeError(f"the class merge at lambda {u!r} disagrees "
+                           "with ghc on the leaves")
     return CcGhcResult(d=d, lambda_star=u, cost=float(cost), kl=kl,
                        iterations=iterations, bracket=(lo, u),
                        trace=tuple(trace), cost_exact=cost)

@@ -184,6 +184,11 @@ def _cmd_verify(args) -> int:
     return 0 if not violations and kraft <= 1 else 3
 
 
+EPS_HELP = ("bisection bracket width on the multiplier, whose unit is the "
+            "inverse of the cost unit: rescaling the costs by c rescales "
+            "lambda by 1/c but not eps")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dymatch",
                      description="Cost-constrained dyadic pmf matching and "
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, default=1,
                    help="blocklength for the Kronecker extension")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help="bisection bracket tolerance")
+                   help=EPS_HELP)
     p.add_argument("--alphabet", default=None,
                    help="symbol tokens, comma separated or one char each")
     p.set_defaults(func=_cmd_match)
@@ -223,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True,
                    help="largest blocklength")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help="bisection bracket tolerance")
+                   help=EPS_HELP)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("encode", help="text to symbol stream")

@@ -7,18 +7,26 @@ of the sum, and a pair whose weights are more than a factor of four apart
 is not merged at all, the smaller node is dropped and its entire subtree
 ends up with probability zero.
 
-The merge works on runs of equal weight, as run-length Huffman coding
-does (Moffat and Turpin 1998): a run of n nodes becomes n//2 nodes of
-twice the weight in one step, and only an odd node left over meets the
-next-heavier run under the drop rule. Block targets have few distinct
-weights (the facade's 3^k blocks have k+1), so this takes a step per
-run where merging the lightest two nodes at a time takes one per leaf.
-Nodes are taken in the order (weight, smallest leaf index) that the
-node-at-a-time merge uses, so both give the same tree. The weights are
-first scaled by the power of two that puts the largest in [0.5, 1). The
-products in the merge then never overflow, and whether one underflows
-depends on the weights' ratios, not on their scale: 1e-200 and 1e300
-merge like 1.
+The merge works on classes of leaves that share a weight, and on runs of
+equal weight, as run-length Huffman coding does (Moffat and Turpin
+1998). A run is held compressed where it can be: a class of n leaves is
+one run of n blocks of one leaf, its n//2 pairs are one run of blocks of
+two consecutive members, and so on, so pairing a run is one step however
+many nodes it has. Only an odd node left over meets the next-heavier run
+under the drop rule, and it takes that run's first block. Two runs that
+meet at one weight are expanded into lists of nodes and joined in index
+order. A block target has few classes (the facade's 3^k blocks have k+1
+tilted weights), so merge_classes takes a few steps per class where
+merging the lightest two nodes at a time takes one per leaf. Nodes are
+taken in the order (weight, smallest leaf index) that the node-at-a-time
+merge uses, so both give the same tree. The weights are first scaled by
+the power of two that puts the largest in [0.5, 1). The products in the
+merge then never overflow, and whether one underflows depends on the
+weights' ratios, not on their scale: 1e-200 and 1e300 merge like 1.
+
+ghc groups the leaves by weight and writes each leaf's length from the
+blocks. ccghc groups them into type classes once and calls merge_classes
+at every probe, so a probe costs work per class, not per leaf.
 
 brute_force_dyadic enumerates every dyadic pmf on small instances. It is
 the self-contained optimality oracle: the test suite certifies ghc against
@@ -75,6 +83,149 @@ def _as_weights(x) -> np.ndarray:
     return TargetWeights(np.asarray(x, dtype=float)).weights
 
 
+def group_leaves(keys) -> tuple:
+    """Leaf indices grouped by equal key, as (keys, order, starts).
+
+    keys lists each class's key in order of first appearance. order
+    lists the leaf indices class by class, each class in index order,
+    so class c is order[starts[c]:starts[c + 1]].
+    """
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [i]
+        else:
+            members.append(i)
+    order: list = []
+    starts = [0]
+    for members in groups.values():
+        order += members
+        starts.append(len(order))
+    return list(groups), order, starts
+
+
+def _nodes(run, order) -> list:
+    """A run's nodes as (smallest leaf index, subtree) pairs."""
+    if len(run) == 4:
+        return list(zip(run[2], run[3]))
+    _, _, c, pos, d, n = run
+    return [(order[p], (c, p, d))
+            for p in range(pos, pos + (n << d), 1 << d)]
+
+
+def merge_classes(weights, order, starts) -> list:
+    """The ghc merge over classes of leaves that share a weight.
+
+    Arguments:
+        weights: one non-negative weight per class, not all 0.
+        order, starts: each class's leaves, as group_leaves gives them.
+
+    Returns:
+        The code tree's leaves as blocks (depth, c, pos, d), by
+        increasing depth: the 2^d leaves order[pos:pos + 2^d], all of
+        class c, each get codeword length depth + d. A leaf in no block
+        is dropped. The lengths are the ones the node-at-a-time merge
+        gives the leaves, each with its class's weight.
+    """
+    shift = -frexp(max(weights))[1]
+    # the heap holds one entry per run, (weight, smallest leaf index,
+    # ...). A family (c, pos, d, n) is n blocks of 2^d consecutive
+    # members of class c, from order[pos] on. A node list (indices,
+    # subtrees) holds each node's smallest leaf index and subtree, a
+    # block (c, pos, d) or a (left, right) pair. Each is in index order.
+    heap = []
+    for c, v in enumerate(weights):
+        v = ldexp(v, shift)
+        if v > 0:
+            pos = starts[c]
+            heap.append((v, order[pos], c, pos, 0, starts[c + 1] - pos))
+    if not heap:
+        raise ValueError("weights must have at least one positive entry")
+    heapify(heap)
+    while True:
+        run = heappop(heap)
+        v = run[0]
+        if heap and heap[0][0] == v:
+            nodes = _nodes(run, order)
+            while heap and heap[0][0] == v:
+                nodes += _nodes(heappop(heap), order)
+            nodes.sort()
+            index, tree = zip(*nodes)
+            run = (v, index[0], index, tree)
+        # the lightest two nodes are the run's first two, then its next
+        # two: each merged node is heavier than the rest of it
+        if len(run) == 6:
+            _, i, c, pos, d, n = run
+            if n > 1:
+                heappush(heap, (2.0 * sqrt(v * v), i, c, pos, d + 1, n >> 1))
+                if not n & 1:
+                    continue
+                pos += (n - 1) << d
+                i = order[pos]
+            a = (c, pos, d)
+        else:
+            _, _, index, tree = run
+            n = len(index)
+            if n > 1:
+                # zip over one iterator takes the subtrees two at a time
+                pairs = iter(tree)
+                heappush(heap, (2.0 * sqrt(v * v), index[0],
+                                index[:n - 1:2], list(zip(pairs, pairs))))
+                if not n & 1:
+                    continue
+            i, a = index[-1], tree[-1]
+        # a lone node meets the lowest-index node of the next-heavier run
+        if not heap:
+            break
+        heavier = heap[0]
+        u, j = heavier[0], heavier[1]
+        if u >= 4.0 * v:
+            # keeping the small node cannot pay for the extra depth
+            continue
+        if len(heavier) == 6:
+            _, _, c, pos, d, n = heavier
+            b = (c, pos, d)
+            pos += 1 << d
+            rest = (u, order[pos], c, pos, d, n - 1) if n > 1 else None
+        else:
+            _, _, index, tree = heavier
+            b = tree[0]
+            rest = (u, index[1], index[1:], tree[1:]) if len(index) > 1 \
+                else None
+        if j < i:
+            i = j
+        merged = (2.0 * sqrt(v * u), i, (i,), ((a, b),))
+        if rest:
+            heapreplace(heap, rest)
+            heappush(heap, merged)
+        else:
+            heapreplace(heap, merged)
+    blocks = []
+    level = [a]
+    depth = 0
+    while level:
+        below = []
+        for node in level:
+            if len(node) == 2:
+                below += node
+            else:
+                blocks.append((depth, *node))
+        level = below
+        depth += 1
+    return blocks
+
+
+def leaf_lengths(blocks, order) -> list:
+    """Each leaf's codeword length from merge_classes' blocks, None for
+    a dropped leaf."""
+    lengths: list = [None] * len(order)
+    for depth, _, pos, d in blocks:
+        for i in order[pos:pos + (1 << d)]:
+            lengths[i] = depth + d
+    return lengths
+
+
 def ghc(x) -> DyadicPmf:
     """Dyadic pmf minimizing KL distance to the normalized weights.
 
@@ -93,74 +244,9 @@ def ghc(x) -> DyadicPmf:
     ghc(c * x) equals ghc(x) for a power of two c whenever c * x is
     exact (no entry overflows or loses bits to underflow).
     """
-    w = _as_weights(x).tolist()
-    shift = -frexp(max(w))[1]
-    # a run is the nodes of one weight in index order, held as two
-    # sequences: each node's smallest leaf index and its subtree, a leaf
-    # index or a (left, right) pair, so a run of leaves is one list
-    # twice. order is a heap of (weight, smallest index, indices,
-    # subtrees) over the runs of positive weight; a merge may queue a
-    # second run of a weight, and the two are joined when it is popped.
-    runs: dict = {}
-    order = []
-    for i, v in enumerate(w):
-        run = runs.get(v)
-        if run is None:
-            runs[v] = run = [i]
-            v = ldexp(v, shift)
-            if v > 0:
-                order.append((v, i, run, run))
-        else:
-            run.append(i)
-    if not order:
-        raise ValueError("weights must have at least one positive entry")
-    heapify(order)
-    while True:
-        v, _, index, tree = heappop(order)
-        while order and order[0][0] == v:
-            _, _, more_index, more_tree = heappop(order)
-            index, tree = zip(*sorted([*zip(index, tree),
-                                       *zip(more_index, more_tree)]))
-        n = len(index)
-        if n > 1:
-            # the lightest two nodes are the run's first two, then its
-            # next two: each merged node is heavier than the rest of it.
-            # zip over one iterator takes the subtrees two at a time.
-            pairs = iter(tree)
-            heappush(order, (2.0 * sqrt(v * v), index[0], index[:n - 1:2],
-                             list(zip(pairs, pairs))))
-            if not n % 2:
-                continue
-        # a lone node meets the lowest-index node of the next-heavier run
-        i, a = index[-1], tree[-1]
-        if not order:
-            break
-        u, j, heavier_index, heavier_tree = order[0]
-        if u >= 4.0 * v:
-            # keeping the small node cannot pay for the extra depth
-            continue
-        if j < i:
-            i = j
-        merged = (2.0 * sqrt(v * u), i, [i], [(a, heavier_tree[0])])
-        if len(heavier_index) > 1:
-            heapreplace(order, (u, heavier_index[1], heavier_index[1:],
-                                heavier_tree[1:]))
-            heappush(order, merged)
-        else:
-            heapreplace(order, merged)
-    lengths: list = [None] * len(w)
-    level = [a]
-    depth = 0
-    while level:
-        below = []
-        for node in level:
-            if type(node) is int:
-                lengths[node] = depth
-            else:
-                below += node
-        level = below
-        depth += 1
-    return DyadicPmf(tuple(lengths))
+    weights, order, starts = group_leaves(_as_weights(x).tolist())
+    return DyadicPmf(tuple(leaf_lengths(
+        merge_classes(weights, order, starts), order)))
 
 
 @lru_cache(maxsize=None)

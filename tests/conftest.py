@@ -1,15 +1,20 @@
-"""Shared fixtures and the acceptance-criteria summary.
+"""Shared fixtures, the heap merge that is the oracle for ghc's merge
+core, and the acceptance-criteria summary.
 
 Tests in test_acceptance.py carry a `criterion(num, title)` marker; the
 terminal summary prints one PASS/FAIL line per criterion so the whole
 contract is visible at a glance.
 """
+import heapq
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dymatch import CostVector, Pmf, as_fraction
+from dymatch import CostVector, DyadicPmf, Pmf, as_fraction
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
+from dymatch.ghc import _as_weights
 
 settings.register_profile(
     "ci", max_examples=50, deadline=None,
@@ -85,3 +90,46 @@ def seeded_instances():
         lo, hi = float(min(w.exact)), float(np.dot(t.probs, w.costs))
         S = as_fraction(f"{lo + (hi - lo) * rng.uniform(0.05, 0.95):.4f}")
         yield t, w, k, k * max(S, min(w.exact))
+
+
+def heap_ghc(x) -> DyadicPmf:
+    """ghc as one heap operation per node: pop the lightest two by
+    (weight, smallest leaf index), drop the lighter at 4x, else push
+    their merge. Its products overflow or underflow for weights far
+    from 1 (1e300 or 1e-200), so it is the oracle only in between."""
+    w = _as_weights(x)
+    m = len(w)
+    heap = [(float(w[i]), i, i) for i in range(m) if w[i] > 0]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        wa, ta, a = heapq.heappop(heap)
+        wb, tb, b = heapq.heappop(heap)
+        if wb >= 4.0 * wa:
+            heapq.heappush(heap, (wb, tb, b))
+        else:
+            heapq.heappush(heap, (2.0 * math.sqrt(wa * wb), min(ta, tb),
+                                  (a, b)))
+    lengths: list = [None] * m
+    stack = [(heap[0][2], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, int):
+            lengths[node] = depth
+        else:
+            left, right = node
+            stack.append((left, depth + 1))
+            stack.append((right, depth + 1))
+    return DyadicPmf(tuple(lengths))
+
+
+def expand_blocks(blocks, order, starts) -> tuple:
+    """Each leaf's length from merge_classes' blocks (None if dropped),
+    checking that every block lies inside its class and that no leaf is
+    in two blocks."""
+    lengths: list = [None] * len(order)
+    for depth, c, pos, d in blocks:
+        assert starts[c] <= pos and pos + (1 << d) <= starts[c + 1]
+        for i in order[pos:pos + (1 << d)]:
+            assert lengths[i] is None
+            lengths[i] = depth + d
+    return tuple(lengths)

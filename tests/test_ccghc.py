@@ -11,10 +11,11 @@ from dymatch import (CcGhcResult, CostVector, InfeasibleConstraintError,
                      ccghc, ghc, kl_divergence, kronecker_cost,
                      kronecker_pmf, tilt)
 from dymatch.ccghc import Evaluation
-from dymatch.ghc import TargetWeights
-from conftest import random_costs, random_pmf
+from dymatch.ghc import TargetWeights, merge_classes
+from conftest import expand_blocks, heap_ghc, random_costs, random_pmf
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
+GHC_MODULE = importlib.import_module("dymatch.ghc")
 
 T3 = Pmf.uniform(3)
 W3 = CostVector(("0.18", "0.18", "0.31"))
@@ -224,28 +225,87 @@ class TestRecomputationOracle:
             bisected += got.iterations > 0
         assert bisected > 50
 
-    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_facade(self, k):
         t, w, S = facade_instance(k)
         assert ccghc(t, w, S) == _recomputing_ccghc(t, w, S)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("S", ["0.3", "0.6", "0.9", "1.2"])
+    def test_joined_classes(self, monkeypatch, k, S):
+        # costs 0..3 on a uniform target: for k >= 2 some probe at
+        # lam > 0 pairs a run onto the weight of a cheaper type class,
+        # and the two must be joined in index order (at k = 1 every
+        # class has one member, so nothing is paired)
+        t = kronecker_pmf(Pmf.uniform(4), k)
+        w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
+        S = k * as_fraction(S)
+        want = _recomputing_ccghc(t, w, S)
+        runs, joined = [], []
+        nodes = GHC_MODULE._nodes
+
+        def merge(*args):
+            before = len(runs)
+            blocks = merge_classes(*args)
+            joined.append(len(runs) > before)
+            return blocks
+
+        with monkeypatch.context() as m:
+            m.setattr(GHC_MODULE, "_nodes",
+                      lambda run, order: runs.append(run) or
+                      nodes(run, order))
+            m.setattr(CCGHC_MODULE, "merge_classes", merge)
+            got = ccghc(t, w, S)
+        assert got == want
+        assert any(j for j, e in zip(joined, got.trace) if e.lam > 0) \
+            == (k > 1)
+
     @pytest.fixture
     def merges(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(CCGHC_MODULE, "ghc",
-                            lambda x: calls.append(x) or ghc(x))
+        """The class merges and the ghc calls that ccghc makes."""
+        calls = {"merge_classes": [], "ghc": []}
+        for name, log in calls.items():
+            fn = getattr(CCGHC_MODULE, name)
+            monkeypatch.setattr(CCGHC_MODULE, name,
+                                lambda *a, fn=fn, log=log:
+                                log.append(a) or fn(*a))
         return calls
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_one_ghc_merge_per_probe(self, merges, k):
-        res = ccghc(*facade_instance(k))
-        assert len(merges) == len(res.trace)
+        # one class merge per probe, each the leaf merge of its tilt, and
+        # one ghc on the leaves to certify the result
+        t, w, S = facade_instance(k)
+        res = ccghc(t, w, S)
+        assert len(merges["merge_classes"]) == len(res.trace)
+        assert len(merges["ghc"]) == 1
+        for (weights, order, starts), probe in zip(merges["merge_classes"],
+                                                   res.trace):
+            blocks = merge_classes(weights, order, starts)
+            assert expand_blocks(blocks, order, starts) \
+                == heap_ghc(tilt(t, w, probe.lam)).lengths
         if k == 7:
-            assert len(merges) == 37
+            assert len(merges["merge_classes"]) == 37
 
     def test_one_ghc_merge_without_bisection(self, merges):
         res = ccghc(T3, W3, "0.245")
-        assert res.lambda_star == 0.0 and len(merges) == len(res.trace) == 1
+        assert res.lambda_star == 0.0
+        assert len(merges["merge_classes"]) == len(res.trace) == 1
+        assert len(merges["ghc"]) == 1
+
+    def test_blocks_failing_kraft_raise(self, monkeypatch):
+        # a class merge that loses a block fails the probe's Kraft check
+        monkeypatch.setattr(CCGHC_MODULE, "merge_classes",
+                            lambda *a: merge_classes(*a)[:-1])
+        with pytest.raises(ValueError, match="Kraft sum"):
+            ccghc(*facade_instance(2))
+
+    def test_disagreement_with_ghc_raises(self, monkeypatch):
+        # the result is certified by ghc on the leaves at lambda_star
+        monkeypatch.setattr(CCGHC_MODULE, "ghc",
+                            lambda x: ghc(np.flip(x.weights)))
+        with pytest.raises(RuntimeError, match="disagrees"):
+            ccghc(*facade_instance(2))
 
 
 class TestFloatResolution:

@@ -15,8 +15,9 @@ from dymatch.facade import matcher_code
 PHRASE = "shannon the fu"
 
 # sha256 of `match --block k --alphabet lrm` stdout on the facade, taken
-# before ghc merged runs of equal weight: a changed length or codeword
-# shows here
+# for k <= 8 before ghc merged runs of equal weight and for k = 9 and 10
+# before ccghc probed type classes: a changed length or codeword shows
+# here
 MATCH_SHA256 = {
     1: "6c09094e7e394f47aaa408435b27d1cdbfb7b7675b5c54efd4d3acf615077bbb",
     2: "6b57c698d9efb05e4f399259689305e3ae7bac87b72022833c31aacac5c3fb64",
@@ -26,6 +27,8 @@ MATCH_SHA256 = {
     6: "1a59939e3d51d6c0f31f43b11d1c31e6c3a7acde9aec38bdfe5a7ba8285a4767",
     7: "c63f5bd050f02ba61e3c48731f8ddbf2a9aae4c6de2cc8d6fceeb6aff7fca956",
     8: "a388bc72633dcc8e32445cd1e6eb186797acb2d9e71af2eda4c4c2f7df474b61",
+    9: "350e041abc3a29658725921c61fe552176881417299e2620f880a05433b07cca",
+    10: "5fbdfce7bdcf51e49646692c582942402e76f16f51ea84925e2422c903f92cc6",
 }
 
 

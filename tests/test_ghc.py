@@ -1,6 +1,5 @@
-"""Geometric Huffman coding against its brute-force oracle, and the run
+"""Geometric Huffman coding against its brute-force oracle, and the class
 merge against the node-at-a-time merge it replaced."""
-import heapq
 import importlib
 import math
 
@@ -9,46 +8,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dymatch import (DyadicPmf, Pmf, TargetWeights, brute_force_dyadic,
+from dymatch import (CostVector, Pmf, TargetWeights, brute_force_dyadic,
                      ccghc, ghc, kl_divergence, kronecker_cost,
-                     kronecker_pmf)
+                     kronecker_pmf, tilt)
+from dymatch.ccghc import _TypeClasses
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
-from dymatch.ghc import _as_weights
-from conftest import seeded_instances
+from dymatch.ghc import merge_classes
+from conftest import expand_blocks, heap_ghc, seeded_instances
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
+GHC_MODULE = importlib.import_module("dymatch.ghc")
 LOG2_3 = float(np.log2(3))
 KRON_321 = np.kron([3.0, 2.0, 1.0], [3.0, 2.0, 1.0]).tolist()
-
-
-def heap_ghc(x) -> DyadicPmf:
-    """ghc as one heap operation per node: pop the lightest two by
-    (weight, smallest leaf index), drop the lighter at 4x, else push
-    their merge. Its products overflow or underflow for weights far
-    from 1 (1e300 or 1e-200), so it is the oracle only in between."""
-    w = _as_weights(x)
-    m = len(w)
-    heap = [(float(w[i]), i, i) for i in range(m) if w[i] > 0]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        wa, ta, a = heapq.heappop(heap)
-        wb, tb, b = heapq.heappop(heap)
-        if wb >= 4.0 * wa:
-            heapq.heappush(heap, (wb, tb, b))
-        else:
-            heapq.heappush(heap, (2.0 * math.sqrt(wa * wb), min(ta, tb),
-                                  (a, b)))
-    lengths: list = [None] * m
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, int):
-            lengths[node] = depth
-        else:
-            left, right = node
-            stack.append((left, depth + 1))
-            stack.append((right, depth + 1))
-    return DyadicPmf(tuple(lengths))
 
 
 def _four_times(a: float) -> list:
@@ -56,6 +27,10 @@ def _four_times(a: float) -> list:
     four = 4.0 * a
     return [a, float(np.nextafter(four, 0.0)), four,
             float(np.nextafter(four, np.inf))]
+
+
+_FOUR_TIMES = [0.0, *_four_times(2.0), *_four_times(1.0)[:3]]
+KRON_FOUR_TIMES = np.kron(_FOUR_TIMES, _FOUR_TIMES).tolist()
 
 
 @st.composite
@@ -200,23 +175,30 @@ class TestOptimalityOracle:
 
 
 class TestAgainstHeapMerge:
-    """The run merge gives heap_ghc's lengths, ties and drops included."""
+    """The class merge gives heap_ghc's lengths, ties and drops included:
+    inside ghc on leaves grouped by weight, and at every ccghc probe on
+    type classes."""
 
     @staticmethod
     def _check_probes(monkeypatch, t, w, k, S) -> int:
-        """Run ccghc with every probe's ghc checked; return the probes."""
-        probes = []
+        """Run ccghc with every probe's class merge expanded to leaves and
+        checked against heap_ghc on the leaf tilt; return the probes."""
+        merges = []
 
-        def checked(x):
-            got = ghc(x)
-            assert got.lengths == heap_ghc(x).lengths
-            probes.append(x)
-            return got
+        def recorded(weights, order, starts):
+            blocks = merge_classes(weights, order, starts)
+            merges.append((blocks, order, starts))
+            return blocks
 
+        tk, wk = kronecker_pmf(t, k), kronecker_cost(w, k)
         with monkeypatch.context() as m:
-            m.setattr(CCGHC_MODULE, "ghc", checked)
-            ccghc(kronecker_pmf(t, k), kronecker_cost(w, k), S)
-        return len(probes)
+            m.setattr(CCGHC_MODULE, "merge_classes", recorded)
+            res = ccghc(tk, wk, S)
+        assert len(merges) == len(res.trace)
+        for (blocks, order, starts), probe in zip(merges, res.trace):
+            assert expand_blocks(blocks, order, starts) \
+                == heap_ghc(tilt(tk, wk, probe.lam)).lengths
+        return len(merges)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_facade_probes(self, monkeypatch, k):
@@ -229,10 +211,55 @@ class TestAgainstHeapMerge:
                      for t, w, k, S in seeded_instances())
         assert probes > 60 * 30
 
+    @staticmethod
+    def _class_merge(monkeypatch, t, w, lam) -> tuple:
+        """The class merge of the type classes of (t, w) at lam, expanded
+        to leaves, and how many runs were joined with another run of
+        their weight."""
+        classes = _TypeClasses(t, w)
+        weights = tilt(classes, classes.cost, lam).weights.tolist()
+        joined = []
+        nodes = GHC_MODULE._nodes
+        with monkeypatch.context() as m:
+            m.setattr(GHC_MODULE, "_nodes",
+                      lambda run, order: joined.append(run) or
+                      nodes(run, order))
+            blocks = merge_classes(weights, classes.order, classes.starts)
+        return expand_blocks(blocks, classes.order, classes.starts), \
+            len(joined)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_joined_classes(self, monkeypatch, lam):
+        # a class of cost c has weight 2^(-lam c) / 4^k: at lam = 0 all
+        # classes share one weight, and at lam > 0 paired runs of one
+        # class land on the weight of a cheaper class; runs that meet
+        # must be joined in index order
+        joins = 0
+        for k in range(1, 5):
+            t = kronecker_pmf(Pmf.uniform(4), k)
+            w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
+            got, joined = self._class_merge(monkeypatch, t, w, lam)
+            assert got == heap_ghc(tilt(t, w, lam)).lengths
+            joins += joined
+        assert joins > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_facade_lambda_zero(self, monkeypatch, k):
+        # the first probe: every type class has the weight 3^-k
+        t, w = kronecker_pmf(TARGET, k), kronecker_cost(SLAT_COSTS, k)
+        classes = _TypeClasses(t, w)
+        assert len(set(tilt(classes, classes.cost, 0.0).weights)) == 1
+        got, joined = self._class_merge(monkeypatch, t, w, 0.0)
+        assert got == heap_ghc(tilt(t, w, 0.0)).lengths
+        assert joined == k + 1
+
     # the square of (3, 2, 1): leaves 1 and 3 and a merged node with
-    # index 2 meet at weight 6, queued as two runs out of index order
+    # index 2 meet at weight 6, queued as two runs out of index order.
+    # KRON_FOUR_TIMES needs a merged node to carry the heavier node's
+    # smaller leaf index.
     @given(tied_weights())
     @example(KRON_321)
+    @example(KRON_FOUR_TIMES)
     def test_tied_weights(self, xs):
         assert ghc(xs).lengths == heap_ghc(xs).lengths
 

@@ -192,26 +192,44 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
     trace = []
 
     def probe(lam: float):
-        """(blocks, exact cost, KL) at lam when feasible, else None."""
-        blocks = merge_classes(
+        """(merge_classes' order, blocks, exact cost, KL) at lam when
+        feasible, else None."""
+        seq, _, blocks = merge_classes(
             tilt(classes, classes.cost, lam).weights.tolist(), order, starts)
         # Kraft sum and cost over 2^top: a block at depth D holds 2^-D of
-        # the probability, all of it on members of one class
-        top = blocks[-1][0]
+        # the probability
         kraft = cost = 0
-        by_class.fill(0.0)
-        for depth, c, pos, d in blocks:
-            kraft += 1 << (top - depth)
-            cost += nums[c] << (top - depth)
-            by_class[pos:pos + (1 << d)] = ldexp(1.0, -depth - d)
+        if seq is order:
+            # all of it on members of one class
+            top = blocks[-1][0]
+            by_class.fill(0.0)
+            for depth, c, pos, d in blocks:
+                kraft += 1 << (top - depth)
+                cost += nums[c] << (top - depth)
+                by_class[pos:pos + (1 << d)] = ldexp(1.0, -depth - d)
+            probs = by_class[place]
+        else:
+            # classes were joined: a block over a joined sequence holds
+            # leaves of several classes, so each member's cost is summed,
+            # over 2^top with top the longest codeword
+            top = max(depth + d for depth, _, _, d in blocks)
+            by_seq = np.zeros(len(seq))
+            for depth, c, pos, d in blocks:
+                kraft += 1 << (top - depth)
+                members = map(w.nums.__getitem__, seq[pos:pos + (1 << d)])
+                cost += sum(members) << (top - depth - d)
+                by_seq[pos:pos + (1 << d)] = ldexp(1.0, -depth - d)
+            # a leaf has several places, one of them in a block and the
+            # others 0, so summing them is exact
+            probs = np.bincount(seq, by_seq, len(t))
         if kraft != 1 << top:
             raise ValueError(f"Kraft sum is {Fraction(kraft, 1 << top)}, "
                              "not 1")
         cost = Fraction(cost, w.den << top)
-        kl = kl_divergence(by_class[place], t)
+        kl = kl_divergence(probs, t)
         feasible = cost <= S_exact
         trace.append(Evaluation(lam, float(cost), kl, feasible))
-        return (blocks, cost, kl) if feasible else None
+        return (seq, blocks, cost, kl) if feasible else None
 
     # found is always the probe at u, the feasible end of the bracket
     lo = u = 0.0
@@ -240,9 +258,9 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
             lo = mid
         mid = 0.5 * (lo + u)
     # certify the class probe at u on the leaves themselves
-    blocks, cost, kl = found
+    seq, blocks, cost, kl = found
     d = ghc(tilt(t, w, u))
-    if (d.lengths != tuple(leaf_lengths(blocks, order))
+    if (d.lengths != tuple(leaf_lengths(blocks, seq, len(t)))
             or average_cost_exact(d, w) != cost
             or kl_divergence(d, t) != kl):
         raise RuntimeError(f"the class merge at lambda {u!r} disagrees "

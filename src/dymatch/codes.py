@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,7 +37,8 @@ class SymbolAlphabet:
         for s in symbols:
             if not isinstance(s, str) or not s:
                 raise ValueError(f"symbol must be a non-empty string, got {s!r}")
-            if s != " " and (any(c.isspace() for c in s) or "#" in s):
+            # split() breaks s at exactly the characters isspace() accepts
+            if s != " " and (s.split() != [s] or "#" in s):
                 raise ValueError(f"symbol {s!r} contains whitespace or '#'")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
 
@@ -75,7 +77,7 @@ class PrefixCode:
             raise ValueError("code needs at least one entry")
         by_symbol = {}
         for sym, bits in pairs:
-            if not bits or any(c not in "01" for c in bits):
+            if not bits or bits.strip("01"):
                 raise ValueError(f"codeword for {sym!r} must be non-empty bits, "
                                  f"got {bits!r}")
             if sym in by_symbol:
@@ -155,7 +157,7 @@ def prefix_violations(pairs) -> list:
     """
     out = []
     chain = []
-    for entry in sorted(pairs, key=lambda e: e[1]):
+    for entry in sorted(pairs, key=itemgetter(1)):
         bits = entry[1]
         while chain and not bits.startswith(chain[-1][1]):
             chain.pop()
@@ -176,23 +178,27 @@ def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet) -> PrefixCode:
     """
     if len(d) != len(alphabet):
         raise ValueError(f"length mismatch: {len(d)} vs {len(alphabet)}")
-    order = sorted((l, i) for i, l in enumerate(d.lengths) if l is not None)
-    if order[0][0] == 0:
+    # each length's symbols in index order
+    groups: dict = {}
+    for i, l in enumerate(d.lengths):
+        if l is not None:
+            groups.setdefault(l, []).append(i)
+    if 0 in groups:
         raise ValueError(
             f"cannot assign an empty codeword: the pmf puts all its mass on "
-            f"{alphabet.symbols[order[0][1]]!r}, and a one-symbol code has "
+            f"{alphabet.symbols[groups[0][0]]!r}, and a one-symbol code has "
             f"no bits to parse")
-    assigned = {}
-    code = 0
-    prev_len = order[0][0]
-    for pos, (l, i) in enumerate(order):
-        if pos > 0:
-            code = (code + 1) << (l - prev_len)
-            prev_len = l
-        assigned[i] = format(code, f"0{l}b")
-    entries = [(alphabet.symbols[i], assigned[i])
-               for i in range(len(alphabet)) if i in assigned]
-    return PrefixCode(entries)
+    bits: list = [None] * len(alphabet)
+    code = prev_len = 0
+    for l in sorted(groups):
+        code <<= l - prev_len
+        prev_len = l
+        spec = f"0{l}b"
+        for i in groups[l]:
+            bits[i] = format(code, spec)
+            code += 1
+    return PrefixCode([(s, b) for s, b in zip(alphabet.symbols, bits)
+                       if b is not None])
 
 
 def huffman(freqs: Sequence[float], alphabet: SymbolAlphabet) -> PrefixCode:

@@ -13,16 +13,20 @@ equal weight, as run-length Huffman coding does (Moffat and Turpin
 one run of n blocks of one leaf, its n//2 pairs are one run of blocks of
 two consecutive members, and so on, so pairing a run is one step however
 many nodes it has. Only an odd node left over meets the next-heavier run
-under the drop rule, and it takes that run's first block. Two runs that
-meet at one weight are expanded into lists of nodes and joined in index
-order. A block target has few classes (the facade's 3^k blocks have k+1
-tilted weights), so merge_classes takes a few steps per class where
-merging the lightest two nodes at a time takes one per leaf. Nodes are
-taken in the order (weight, smallest leaf index) that the node-at-a-time
-merge uses, so both give the same tree. The weights are first scaled by
-the power of two that puts the largest in [0.5, 1). The products in the
-merge then never overflow, and whether one underflows depends on the
-weights' ratios, not on their scale: 1e-200 and 1e300 merge like 1.
+under the drop rule, and it takes that run's first block. Runs that meet
+at one weight are joined. Classes that meet at one weight (the facade's
+k+1 type classes at multiplier 0) stay one family: their leaves, sorted
+by index, are laid end to end as a new sequence after the classes in
+order, and the family runs over it as over a class. Any other join
+expands the runs into lists of nodes and joins them in index order. A
+block target has few classes (the facade's 3^k blocks have k+1 tilted
+weights), so merge_classes takes a few steps per class where merging the
+lightest two nodes at a time takes one per leaf. Nodes are taken in the
+order (weight, smallest leaf index) that the node-at-a-time merge uses,
+so both give the same tree. The weights are first scaled by the power of
+two that puts the largest in [0.5, 1). The products in the merge then
+never overflow, and whether one underflows depends on the weights'
+ratios, not on their scale: 1e-200 and 1e300 merge like 1.
 
 ghc groups the leaves by weight and writes each leaf's length from the
 blocks. ccghc groups them into type classes once and calls merge_classes
@@ -39,6 +43,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import chain
 from math import frexp, ldexp, sqrt
 
 import numpy as np
@@ -114,7 +119,23 @@ def _nodes(run, order) -> list:
             for p in range(pos, pos + (n << d), 1 << d)]
 
 
-def merge_classes(weights, order, starts) -> list:
+def _join_nodes(runs, order) -> tuple:
+    """Runs of one weight as one node list in index order, (indices,
+    subtrees)."""
+    nodes = []
+    for run in runs:
+        nodes += _nodes(run, order)
+    nodes.sort()
+    return tuple(zip(*nodes))
+
+
+def _join_families(runs, order) -> list:
+    """The leaves of families of single leaves, sorted by index."""
+    return sorted(chain.from_iterable(order[pos:pos + n]
+                                      for _, _, _, pos, _, n in runs))
+
+
+def merge_classes(weights, order, starts) -> tuple:
     """The ghc merge over classes of leaves that share a weight.
 
     Arguments:
@@ -122,18 +143,24 @@ def merge_classes(weights, order, starts) -> list:
         order, starts: each class's leaves, as group_leaves gives them.
 
     Returns:
-        The code tree's leaves as blocks (depth, c, pos, d), by
-        increasing depth: the 2^d leaves order[pos:pos + 2^d], all of
-        class c, each get codeword length depth + d. A leaf in no block
-        is dropped. The lengths are the ones the node-at-a-time merge
-        gives the leaves, each with its class's weight.
+        (order, starts, blocks). order and starts are the arguments
+        when no classes were joined, else copies extended by one
+        sequence per join of classes: sequence c >= len(weights) is
+        order[starts[c]:starts[c + 1]], leaves of several classes.
+        blocks are the code tree's leaves as blocks
+        (depth, c, pos, d), by increasing depth: the 2^d leaves
+        order[pos:pos + 2^d], all of class or sequence c, each get
+        codeword length depth + d. A leaf in no block is dropped. The
+        lengths are the ones the node-at-a-time merge gives the leaves,
+        each with its class's weight.
     """
     shift = -frexp(max(weights))[1]
     # the heap holds one entry per run, (weight, smallest leaf index,
     # ...). A family (c, pos, d, n) is n blocks of 2^d consecutive
-    # members of class c, from order[pos] on. A node list (indices,
-    # subtrees) holds each node's smallest leaf index and subtree, a
-    # block (c, pos, d) or a (left, right) pair. Each is in index order.
+    # members of class or sequence c, from order[pos] on. A node list
+    # (indices, subtrees) holds each node's smallest leaf index and
+    # subtree, a block (c, pos, d) or a (left, right) pair. Each is in
+    # index order.
     heap = []
     for c, v in enumerate(weights):
         v = ldexp(v, shift)
@@ -147,12 +174,20 @@ def merge_classes(weights, order, starts) -> list:
         run = heappop(heap)
         v = run[0]
         if heap and heap[0][0] == v:
-            nodes = _nodes(run, order)
+            runs = [run]
             while heap and heap[0][0] == v:
-                nodes += _nodes(heappop(heap), order)
-            nodes.sort()
-            index, tree = zip(*nodes)
-            run = (v, index[0], index, tree)
+                runs.append(heappop(heap))
+            if all(len(r) == 6 and r[4] == 0 for r in runs):
+                # classes of one weight stay one family, over their
+                # leaves in index order
+                joined = _join_families(runs, order)
+                pos = len(order)
+                order = order + joined
+                starts = starts + [len(order)]
+                run = (v, joined[0], len(starts) - 2, pos, 0, len(joined))
+            else:
+                index, tree = _join_nodes(runs, order)
+                run = (v, index[0], index, tree)
         # the lightest two nodes are the run's first two, then its next
         # two: each merged node is heavier than the rest of it
         if len(run) == 6:
@@ -213,13 +248,13 @@ def merge_classes(weights, order, starts) -> list:
                 blocks.append((depth, *node))
         level = below
         depth += 1
-    return blocks
+    return order, starts, blocks
 
 
-def leaf_lengths(blocks, order) -> list:
-    """Each leaf's codeword length from merge_classes' blocks, None for
-    a dropped leaf."""
-    lengths: list = [None] * len(order)
+def leaf_lengths(blocks, order, size: int) -> list:
+    """The codeword lengths of leaves 0..size-1 from the order and blocks
+    that merge_classes returns, None for a dropped leaf."""
+    lengths: list = [None] * size
     for depth, _, pos, d in blocks:
         for i in order[pos:pos + (1 << d)]:
             lengths[i] = depth + d
@@ -244,9 +279,9 @@ def ghc(x) -> DyadicPmf:
     ghc(c * x) equals ghc(x) for a power of two c whenever c * x is
     exact (no entry overflows or loses bits to underflow).
     """
-    weights, order, starts = group_leaves(_as_weights(x).tolist())
-    return DyadicPmf(tuple(leaf_lengths(
-        merge_classes(weights, order, starts), order)))
+    x = _as_weights(x)
+    order, _, blocks = merge_classes(*group_leaves(x.tolist()))
+    return DyadicPmf(tuple(leaf_lengths(blocks, order, len(x))))
 
 
 @lru_cache(maxsize=None)

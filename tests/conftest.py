@@ -1,18 +1,23 @@
 """Shared fixtures, the heap merge that is the oracle for ghc's merge
-core, and the acceptance-criteria summary.
+core, the recomputing ccghc that is the oracle for ccghc, and the
+acceptance-criteria summary.
 
 Tests in test_acceptance.py carry a `criterion(num, title)` marker; the
 terminal summary prints one PASS/FAIL line per criterion so the whole
 contract is visible at a glance.
 """
 import heapq
+import importlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dymatch import CostVector, DyadicPmf, Pmf, as_fraction
+from dymatch import (CcGhcResult, CostVector, DyadicPmf, Pmf,
+                     as_fraction, average_cost_exact, ghc, kl_divergence,
+                     tilt)
+from dymatch.ccghc import Evaluation
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 from dymatch.ghc import _as_weights
 
@@ -122,14 +127,66 @@ def heap_ghc(x) -> DyadicPmf:
     return DyadicPmf(tuple(lengths))
 
 
-def expand_blocks(blocks, order, starts) -> tuple:
-    """Each leaf's length from merge_classes' blocks (None if dropped),
-    checking that every block lies inside its class and that no leaf is
-    in two blocks."""
-    lengths: list = [None] * len(order)
+def _recomputing_ccghc(t, w, S, eps=1e-9):
+    # the earlier ccghc: the same bisection, then ghc, the exact cost and
+    # KL computed once more at the feasible end of the bracket
+    S_exact = as_fraction(S)
+    trace = []
+
+    def probe(lam):
+        d = ghc(tilt(t, w, lam))
+        cost = average_cost_exact(d, w)
+        feasible = cost <= S_exact
+        trace.append(Evaluation(lam, float(cost), kl_divergence(d, t),
+                                feasible))
+        return feasible
+
+    def result(lam, iterations, bracket):
+        d = ghc(tilt(t, w, lam))
+        cost = average_cost_exact(d, w)
+        return CcGhcResult(d=d, lambda_star=lam, cost=float(cost),
+                           kl=kl_divergence(d, t), iterations=iterations,
+                           bracket=bracket, trace=tuple(trace),
+                           cost_exact=cost)
+
+    if probe(0.0):
+        return result(0.0, 0, (0.0, 0.0))
+    lo, u = 0.0, 1.0
+    while not probe(u):
+        lo, u = u, 2.0 * u
+    iterations = 0
+    while u - lo >= eps:
+        iterations += 1
+        mid = 0.5 * (lo + u)
+        if probe(mid):
+            u = mid
+        else:
+            lo = mid
+    return result(u, iterations, (lo, u))
+
+
+def expand_blocks(merged, size: int) -> tuple:
+    """The lengths of leaves 0..size-1 from what merge_classes returns
+    (None if dropped), checking that every block lies inside its class
+    or joined sequence and that no leaf is in two blocks."""
+    order, starts, blocks = merged
+    lengths: list = [None] * size
     for depth, c, pos, d in blocks:
         assert starts[c] <= pos and pos + (1 << d) <= starts[c + 1]
         for i in order[pos:pos + (1 << d)]:
             assert lengths[i] is None
             lengths[i] = depth + d
     return tuple(lengths)
+
+
+def record_joins(monkeypatch) -> dict:
+    """Hook the two joins of ghc's merge core: the number of runs of
+    each family join and of each node-list join, by kind."""
+    module = importlib.import_module("dymatch.ghc")
+    joins = {"families": [], "nodes": []}
+    for kind, log in joins.items():
+        join = getattr(module, f"_join_{kind}")
+        monkeypatch.setattr(module, f"_join_{kind}",
+                            lambda runs, order, join=join, log=log:
+                            log.append(len(runs)) or join(runs, order))
+    return joins

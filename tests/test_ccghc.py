@@ -6,16 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dymatch import (CcGhcResult, CostVector, InfeasibleConstraintError,
-                     Pmf, average_cost_exact, as_fraction, brute_force_dyadic,
+from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
+                     average_cost_exact, as_fraction, brute_force_dyadic,
                      ccghc, ghc, kl_divergence, kronecker_cost,
                      kronecker_pmf, tilt)
-from dymatch.ccghc import Evaluation
 from dymatch.ghc import TargetWeights, merge_classes
-from conftest import expand_blocks, heap_ghc, random_costs, random_pmf
+from conftest import (_recomputing_ccghc, expand_blocks, heap_ghc,
+                      random_costs, random_pmf, record_joins)
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
-GHC_MODULE = importlib.import_module("dymatch.ghc")
 
 T3 = Pmf.uniform(3)
 W3 = CostVector(("0.18", "0.18", "0.31"))
@@ -175,44 +174,6 @@ class TestTiltOracle:
         assert got == want
 
 
-def _recomputing_ccghc(t, w, S, eps=1e-9):
-    # the earlier ccghc: the same bisection, then ghc, the exact cost and
-    # KL computed once more at the feasible end of the bracket
-    S_exact = as_fraction(S)
-    trace = []
-
-    def probe(lam):
-        d = ghc(tilt(t, w, lam))
-        cost = average_cost_exact(d, w)
-        feasible = cost <= S_exact
-        trace.append(Evaluation(lam, float(cost), kl_divergence(d, t),
-                                feasible))
-        return feasible
-
-    def result(lam, iterations, bracket):
-        d = ghc(tilt(t, w, lam))
-        cost = average_cost_exact(d, w)
-        return CcGhcResult(d=d, lambda_star=lam, cost=float(cost),
-                           kl=kl_divergence(d, t), iterations=iterations,
-                           bracket=bracket, trace=tuple(trace),
-                           cost_exact=cost)
-
-    if probe(0.0):
-        return result(0.0, 0, (0.0, 0.0))
-    lo, u = 0.0, 1.0
-    while not probe(u):
-        lo, u = u, 2.0 * u
-    iterations = 0
-    while u - lo >= eps:
-        iterations += 1
-        mid = 0.5 * (lo + u)
-        if probe(mid):
-            u = mid
-        else:
-            lo = mid
-    return result(u, iterations, (lo, u))
-
-
 class TestRecomputationOracle:
     """The result is the search's own probe at lambda_star, and equals
     (trace included) a final recomputation of ghc, cost and KL there."""
@@ -241,19 +202,17 @@ class TestRecomputationOracle:
         w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
         S = k * as_fraction(S)
         want = _recomputing_ccghc(t, w, S)
-        runs, joined = [], []
-        nodes = GHC_MODULE._nodes
+        joined = []
 
         def merge(*args):
-            before = len(runs)
-            blocks = merge_classes(*args)
-            joined.append(len(runs) > before)
-            return blocks
+            # whether this probe's merge joined runs, of either kind
+            before = sum(map(len, joins.values()))
+            merged = merge_classes(*args)
+            joined.append(sum(map(len, joins.values())) > before)
+            return merged
 
         with monkeypatch.context() as m:
-            m.setattr(GHC_MODULE, "_nodes",
-                      lambda run, order: runs.append(run) or
-                      nodes(run, order))
+            joins = record_joins(m)
             m.setattr(CCGHC_MODULE, "merge_classes", merge)
             got = ccghc(t, w, S)
         assert got == want
@@ -279,10 +238,8 @@ class TestRecomputationOracle:
         res = ccghc(t, w, S)
         assert len(merges["merge_classes"]) == len(res.trace)
         assert len(merges["ghc"]) == 1
-        for (weights, order, starts), probe in zip(merges["merge_classes"],
-                                                   res.trace):
-            blocks = merge_classes(weights, order, starts)
-            assert expand_blocks(blocks, order, starts) \
+        for args, probe in zip(merges["merge_classes"], res.trace):
+            assert expand_blocks(merge_classes(*args), len(t)) \
                 == heap_ghc(tilt(t, w, probe.lam)).lengths
         if k == 7:
             assert len(merges["merge_classes"]) == 37
@@ -295,8 +252,11 @@ class TestRecomputationOracle:
 
     def test_blocks_failing_kraft_raise(self, monkeypatch):
         # a class merge that loses a block fails the probe's Kraft check
-        monkeypatch.setattr(CCGHC_MODULE, "merge_classes",
-                            lambda *a: merge_classes(*a)[:-1])
+        def lose_block(*args):
+            order, starts, blocks = merge_classes(*args)
+            return order, starts, blocks[:-1]
+
+        monkeypatch.setattr(CCGHC_MODULE, "merge_classes", lose_block)
         with pytest.raises(ValueError, match="Kraft sum"):
             ccghc(*facade_instance(2))
 

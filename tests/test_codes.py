@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dymatch import (CodeFormatError, DyadicPmf, PrefixCode, SymbolAlphabet,
@@ -13,6 +13,44 @@ from dymatch.codes import prefix_violations
 from dymatch.facade import matcher_code, source_code
 
 ABC = SymbolAlphabet(("a", "b", "c"))
+# the 29 code points that str.isspace() accepts
+WHITESPACE = [c for c in map(chr, range(0x110000)) if c.isspace()]
+# look like bits to a reader but are not "0" or "1"
+BIT_LOOKALIKES = ["\uff10", "\uff11", "\u0660", "\u0661", "\u00b9",
+                  "\u2070", "\ud800", "\x00", "o", "l", "2"]
+
+
+@st.composite
+def dropped_dyadic(draw):
+    """A DyadicPmf of a random full binary tree's leaves, shuffled, with
+    dropped symbols among them; a tree of one leaf has length 0."""
+    lengths = [0]
+    for _ in range(draw(st.integers(0, 40))):
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i:i + 1] = [lengths[i] + 1] * 2
+    lengths += [None] * draw(st.integers(0, 4))
+    return DyadicPmf(tuple(draw(st.permutations(lengths))))
+
+
+def sorted_canonical_code(d, alphabet):
+    """canonical_code written as one sort of (length, index) pairs."""
+    order = sorted((l, i) for i, l in enumerate(d.lengths) if l is not None)
+    if order[0][0] == 0:
+        raise ValueError(
+            f"cannot assign an empty codeword: the pmf puts all its mass on "
+            f"{alphabet.symbols[order[0][1]]!r}, and a one-symbol code has "
+            f"no bits to parse")
+    assigned = {}
+    code = 0
+    prev_len = order[0][0]
+    for pos, (l, i) in enumerate(order):
+        if pos > 0:
+            code = (code + 1) << (l - prev_len)
+            prev_len = l
+        assigned[i] = format(code, f"0{l}b")
+    entries = [(alphabet.symbols[i], assigned[i])
+               for i in range(len(alphabet)) if i in assigned]
+    return PrefixCode(entries)
 
 
 class TestSymbolAlphabet:
@@ -32,6 +70,28 @@ class TestSymbolAlphabet:
     def test_rejects_comment_char(self):
         with pytest.raises(ValueError):
             SymbolAlphabet(("a", "#"))
+
+    @pytest.mark.parametrize("c", WHITESPACE)
+    def test_rejects_each_whitespace(self, c):
+        # anywhere in a block name; alone, only the space is a symbol
+        names = [c + "lr", "l" + c + "r", "lr" + c]
+        if c != " ":
+            names.append(c)
+        for s in names:
+            with pytest.raises(ValueError) as err:
+                SymbolAlphabet(("lrm", s))
+            assert str(err.value) \
+                == f"symbol {s!r} contains whitespace or '#'"
+
+    def test_accepts_every_other_code_point(self):
+        accepted = 0
+        for start in range(0, 0x110000, 1 << 16):
+            chunk = map(chr, range(start, start + (1 << 16)))
+            symbols = tuple("l" + c for c in chunk
+                            if not c.isspace() and c != "#")
+            SymbolAlphabet(symbols)
+            accepted += len(symbols)
+        assert accepted == 0x110000 - 30
 
 
 class TestPrefixCode:
@@ -53,6 +113,19 @@ class TestPrefixCode:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             PrefixCode([("a", "0x1")])
+
+    @given(st.text("01", max_size=4), st.characters(),
+           st.text("01", max_size=4))
+    @example("", " ", "")
+    def test_rejects_each_non_bit(self, head, c, tail):
+        for bad in (c, *BIT_LOOKALIKES):
+            if bad in "01":
+                continue
+            bits = head + bad + tail
+            with pytest.raises(ValueError) as err:
+                PrefixCode([("a", "0"), ("b", bits)])
+            assert str(err.value) \
+                == f"codeword for 'b' must be non-empty bits, got {bits!r}"
 
     def test_incomplete_allowed_but_flagged(self):
         code = PrefixCode([("a", "0"), ("b", "10")])
@@ -120,6 +193,19 @@ class TestCanonicalCode:
     def test_rejects_empty_codeword(self):
         with pytest.raises(ValueError):
             canonical_code(DyadicPmf((0, None)), SymbolAlphabet(("a", "b")))
+
+    @given(dropped_dyadic())
+    @example(DyadicPmf((None, 0, None)))
+    def test_same_as_sorted_assignment(self, d):
+        alphabet = SymbolAlphabet(tuple(f"s{i}" for i in range(len(d))))
+        try:
+            want = sorted_canonical_code(d, alphabet)
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                canonical_code(d, alphabet)
+            assert str(err.value) == str(e)
+        else:
+            assert canonical_code(d, alphabet).entries == want.entries
 
     def test_matcher_length_multiset(self):
         # same multiset as the shipped table; bit patterns are canonical,

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dymatch import (CostVector, Pmf, TargetWeights, brute_force_dyadic,
-                     ccghc, ghc, kl_divergence, kronecker_cost,
-                     kronecker_pmf, tilt)
+from dymatch import (CostVector, Pmf, TargetWeights, as_fraction,
+                     brute_force_dyadic, ccghc, ghc, kl_divergence,
+                     kronecker_cost, kronecker_pmf, tilt)
 from dymatch.ccghc import _TypeClasses
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
-from dymatch.ghc import merge_classes
-from conftest import expand_blocks, heap_ghc, seeded_instances
+from dymatch.ghc import group_leaves, merge_classes
+from conftest import (_recomputing_ccghc, expand_blocks, heap_ghc,
+                      record_joins, seeded_instances)
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 GHC_MODULE = importlib.import_module("dymatch.ghc")
@@ -31,6 +32,66 @@ def _four_times(a: float) -> list:
 
 _FOUR_TIMES = [0.0, *_four_times(2.0), *_four_times(1.0)[:3]]
 KRON_FOUR_TIMES = np.kron(_FOUR_TIMES, _FOUR_TIMES).tolist()
+
+# Pairing doubles a weight exactly, so families meet at one weight as
+# classes of one weight, unless the square in 2 sqrt(v v) is subnormal:
+# TINY, TINY_B and TINY_C all pair to 2 TINY, and such blocks of two
+# are joined as a node list. Next to a weight near 1 these leaves are
+# dropped, as no merge of them gets within 4x of it.
+TINY = 2.0 ** -520
+TINY_B = math.nextafter(TINY, 1.0)
+TINY_C = math.nextafter(TINY_B, 1.0)
+# scaled by 1/2 with the largest weight 1, both round to 2 SUB
+SUB = math.ulp(0.0)
+
+# each leaf's (weight, class) for merge_classes; the runs of each join
+# it makes, by kind; and the sequences it lays out, order[len(leaves):]
+CLASS_JOINS = {
+    # two classes of one weight stay one family, then pair into blocks
+    # of two and four leaves of the joined sequence
+    "paired joined family": (
+        [(1.0, "a"), (1.0, "b"), (1.0, "a"), (1.0, "b")],
+        {"families": [2], "nodes": []}, [0, 1, 2, 3]),
+    # class a's pairs (1, 4) and (5, 6) meet class b's (2, 3)
+    "blocks of two joined": (
+        [(0.5, "x"), (TINY, "a"), (TINY_B, "b"), (TINY_B, "b"),
+         (TINY, "a"), (TINY, "a"), (TINY, "a")],
+        {"families": [], "nodes": [2]}, []),
+    # the joined family's pair meets class c's leaf at weight 1
+    "nested join": (
+        [(0.5, "a"), (0.5, "b"), (1.0, "c")],
+        {"families": [2], "nodes": [2]}, [0, 1]),
+    # class a's pair meets leaf 0 at weight 4, and their pair meets leaf
+    # 1 at weight 8
+    "family with node list": (
+        [(4.0, "b"), (8.0, "c"), (2.0, "a"), (2.0, "a")],
+        {"families": [], "nodes": [2, 2]}, []),
+    # leaf 2, left over, takes the joined family's first block (0, 1)
+    "lone node takes a joined block": (
+        [(3.0, "b"), (3.0, "a"), (3.0, "b")],
+        {"families": [2], "nodes": []}, [0, 1, 2]),
+}
+
+# leaf weights for ghc, which puts the leaves of one weight in one class,
+# and the runs of each join it makes
+LEAF_JOINS = {
+    "blocks of two joined": (
+        [1.0, TINY, TINY_B, TINY_B, TINY, TINY, TINY],
+        {"families": [], "nodes": [2]}),
+    # the pairs' pair meets leaf 5 at 4 TINY
+    "nested join": (
+        [1.0, TINY, TINY_B, TINY, TINY_B, 4.0 * TINY],
+        {"families": [], "nodes": [2, 2]}),
+    "family with node list": (
+        [4.0, 8.0, 2.0, 2.0], {"families": [], "nodes": [2, 2]}),
+    # three pairs: (1, 4), (2, 5) and (3, 6) left over
+    "three blocks of two joined": (
+        [1.0, TINY, TINY_B, TINY_C, TINY, TINY_B, TINY_C],
+        {"families": [], "nodes": [3]}),
+    # classes of two raw weights that scaling makes one
+    "classes scaled to one weight": (
+        [1.0, 3 * SUB, 4 * SUB], {"families": [2], "nodes": []}),
+}
 
 
 @st.composite
@@ -186,17 +247,17 @@ class TestAgainstHeapMerge:
         merges = []
 
         def recorded(weights, order, starts):
-            blocks = merge_classes(weights, order, starts)
-            merges.append((blocks, order, starts))
-            return blocks
+            merged = merge_classes(weights, order, starts)
+            merges.append(merged)
+            return merged
 
         tk, wk = kronecker_pmf(t, k), kronecker_cost(w, k)
         with monkeypatch.context() as m:
             m.setattr(CCGHC_MODULE, "merge_classes", recorded)
             res = ccghc(tk, wk, S)
         assert len(merges) == len(res.trace)
-        for (blocks, order, starts), probe in zip(merges, res.trace):
-            assert expand_blocks(blocks, order, starts) \
+        for merged, probe in zip(merges, res.trace):
+            assert expand_blocks(merged, len(tk)) \
                 == heap_ghc(tilt(tk, wk, probe.lam)).lengths
         return len(merges)
 
@@ -214,19 +275,13 @@ class TestAgainstHeapMerge:
     @staticmethod
     def _class_merge(monkeypatch, t, w, lam) -> tuple:
         """The class merge of the type classes of (t, w) at lam, expanded
-        to leaves, and how many runs were joined with another run of
-        their weight."""
+        to leaves, and the runs of each join it made, by kind."""
         classes = _TypeClasses(t, w)
         weights = tilt(classes, classes.cost, lam).weights.tolist()
-        joined = []
-        nodes = GHC_MODULE._nodes
         with monkeypatch.context() as m:
-            m.setattr(GHC_MODULE, "_nodes",
-                      lambda run, order: joined.append(run) or
-                      nodes(run, order))
-            blocks = merge_classes(weights, classes.order, classes.starts)
-        return expand_blocks(blocks, classes.order, classes.starts), \
-            len(joined)
+            joins = record_joins(m)
+            merged = merge_classes(weights, classes.order, classes.starts)
+        return expand_blocks(merged, len(t)), joins
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 3.0])
     def test_joined_classes(self, monkeypatch, lam):
@@ -240,18 +295,21 @@ class TestAgainstHeapMerge:
             w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
             got, joined = self._class_merge(monkeypatch, t, w, lam)
             assert got == heap_ghc(tilt(t, w, lam)).lengths
-            joins += joined
+            joins += len(joined["families"]) + len(joined["nodes"])
         assert joins > 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_facade_lambda_zero(self, monkeypatch, k):
-        # the first probe: every type class has the weight 3^-k
+        # the first probe: every type class has the weight 3^-k, and the
+        # k + 1 classes stay one family; no node list is built
         t, w = kronecker_pmf(TARGET, k), kronecker_cost(SLAT_COSTS, k)
         classes = _TypeClasses(t, w)
         assert len(set(tilt(classes, classes.cost, 0.0).weights)) == 1
+        monkeypatch.setattr(GHC_MODULE, "_nodes",
+                            lambda run, order: pytest.fail("node list"))
         got, joined = self._class_merge(monkeypatch, t, w, 0.0)
         assert got == heap_ghc(tilt(t, w, 0.0)).lengths
-        assert joined == k + 1
+        assert joined == {"families": [k + 1], "nodes": []}
 
     # the square of (3, 2, 1): leaves 1 and 3 and a merged node with
     # index 2 meet at weight 6, queued as two runs out of index order.
@@ -273,3 +331,55 @@ class TestAgainstHeapMerge:
     @pytest.mark.parametrize("v", [1e-200, 1e300, 1e-310, 5e-324])
     def test_equal_weights_at_any_scale(self, v):
         assert ghc((v, v, v)).lengths == (2, 2, 1)
+
+
+class TestJoins:
+    """Runs that meet at one weight, against heap_ghc: classes of one
+    weight stay one family, and other joins build a node list."""
+
+    @pytest.mark.parametrize("case", CLASS_JOINS)
+    def test_merge_classes(self, monkeypatch, case):
+        leaves, want_joins, sequences = CLASS_JOINS[case]
+        classes, order, starts = group_leaves(leaves)
+        with monkeypatch.context() as m:
+            joins = record_joins(m)
+            merged = merge_classes([v for v, _ in classes], order, starts)
+        assert expand_blocks(merged, len(leaves)) \
+            == heap_ghc([v for v, _ in leaves]).lengths
+        assert joins == want_joins
+        assert merged[0][len(leaves):] == sequences
+
+    @pytest.mark.parametrize("case", LEAF_JOINS)
+    def test_ghc(self, monkeypatch, case):
+        xs, want_joins = LEAF_JOINS[case]
+        with monkeypatch.context() as m:
+            joins = record_joins(m)
+            got = ghc(xs)
+        assert got.lengths == heap_ghc(xs).lengths
+        assert joins == want_joins
+
+    @pytest.mark.parametrize("case", CLASS_JOINS)
+    def test_ccghc(self, monkeypatch, case):
+        # each class gets its own cost, so ccghc's type classes are the
+        # case's classes, and its first probe, at lambda 0, merges them
+        leaves, want_joins, _ = CLASS_JOINS[case]
+        tags = sorted({tag for _, tag in leaves})
+        t = Pmf(np.array([v for v, _ in leaves]) / sum(v for v, _ in leaves))
+        w = CostVector([tags.index(tag) for _, tag in leaves])
+        S = (min(w.exact) + as_fraction(float(np.dot(t.probs, w.costs)))) / 2
+        at_zero = {}
+
+        def merge(*args):
+            merged = merge_classes(*args)
+            if not at_zero:
+                at_zero.update((kind, list(runs))
+                               for kind, runs in joins.items())
+            return merged
+
+        with monkeypatch.context() as m:
+            joins = record_joins(m)
+            m.setattr(CCGHC_MODULE, "merge_classes", merge)
+            got = ccghc(t, w, S)
+        assert at_zero == want_joins
+        assert got.iterations > 0
+        assert got == _recomputing_ccghc(t, w, S)

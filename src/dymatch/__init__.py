@@ -17,11 +17,11 @@ cli (the command line).
 from .blocks import (ChordConstruction, ConvergenceRecord,
                      achievability_check, chord, convergence_sweep, sweep_csv)
 from .ccghc import CcGhcResult, ccghc, tilt
-from .codes import (PrefixCode, SymbolAlphabet, canonical_code, huffman,
-                    load_code, parse_code_table, save_code, verify_kraft)
+from .codes import (PrefixCode, SymbolAlphabet, canonical_code, load_code,
+                    parse_code_table, save_code, verify_kraft)
 from .errors import (CodeFormatError, ConvergenceError, DymatchError,
                      InfeasibleConstraintError, SizeCapError)
-from .ghc import TargetWeights, brute_force_dyadic, ghc
+from .ghc import brute_force_dyadic, ghc
 from .pipeline import (EncodeResult, FrequencyStats, compress_text,
                        decompress_bits, facade_stats, match_bits, run_facade,
                        unmatch_symbols)
@@ -39,13 +39,13 @@ __all__ = [
     "ConvergenceError", "ConvergenceRecord", "CostVector", "DyadicPmf",
     "DymatchError", "EncodeResult", "FrequencyStats",
     "InfeasibleConstraintError", "Pmf", "PrefixCode", "SIZE_CAP",
-    "SizeCapError", "SymbolAlphabet", "TargetWeights", "TiltedSolution",
+    "SizeCapError", "SymbolAlphabet", "TiltedSolution",
     "achievability_check", "as_fraction", "average_cost",
     "average_cost_exact", "brute_force_dyadic", "canonical_code", "ccghc",
     "chord", "compress_text", "convergence_sweep", "cost_of_lambda",
     "curve_csv", "decompress_bits", "distance_cost_curve", "facade_stats",
-    "geometry_identity_residual", "ghc", "huffman", "kl_divergence",
-    "kronecker_cost", "kronecker_pmf", "load_code", "match_bits",
-    "parse_code_table", "run_facade", "save_code", "solve_simplex",
-    "sweep_csv", "tilt", "tilted_pmf", "unmatch_symbols", "verify_kraft",
+    "geometry_identity_residual", "ghc", "kl_divergence", "kronecker_cost",
+    "kronecker_pmf", "load_code", "match_bits", "parse_code_table",
+    "run_facade", "save_code", "solve_simplex", "sweep_csv", "tilt",
+    "tilted_pmf", "unmatch_symbols", "verify_kraft",
 ]

@@ -21,38 +21,38 @@ budgets sit within 1e-4 of the achieved cost.
 
 The probes work on type classes, not on leaves. Leaves with equal target
 weight and equal cost tilt to equal weights at every multiplier, so
-ccghc groups them once, and each probe tilts one weight per class and
-runs ghc's merge core, merge_classes, on them (the facade's 3^k blocks
-form k+1 classes). A probe's Kraft sum and exact cost are integer sums
-over the blocks of the code tree, and its KL is kl_divergence on the
-expanded probabilities, so the trace is what probing the leaves gives.
-The result is certified once on the leaves: ghc, average_cost_exact and
-kl_divergence recompute it at lambda_star, and any disagreement with
-the class probe raises RuntimeError.
+ccghc groups them once, into an array of class targets and a CostVector
+of class costs. Each probe tilts that array, one weight per class, and
+runs ghc's merge core, merge_classes, on the weights (the facade's 3^k
+blocks form k+1 classes). A probe's Kraft sum and exact cost are
+integer sums over the blocks of the code tree, and its KL is
+kl_divergence on the expanded probabilities, so the trace is what
+probing the leaves gives. The result is certified once on the leaves:
+ghc, average_cost_exact and kl_divergence recompute it at lambda_star,
+and any disagreement with the class probe raises RuntimeError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ldexp
+from math import isfinite, ldexp
 
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleConstraintError
-from .ghc import (TargetWeights, ghc, group_leaves, leaf_lengths,
-                  merge_classes)
-from .pmf import (CostVector, DyadicPmf, Number, Pmf, as_fraction,
-                  average_cost_exact, kl_divergence)
+from .ghc import ghc, group_leaves, leaf_lengths, merge_classes
+from .pmf import (CostVector, DyadicPmf, Number, Pmf, _probs_of,
+                  as_fraction, average_cost_exact, kl_divergence)
 
 DEFAULT_EPS = 1e-9
 
 
-def tilt(t: Pmf, w: CostVector, lam: float) -> TargetWeights:
-    """Tilted target t_i * 2^(lam * (w_min - w_i)), w_min the cheapest
-    cost among symbols with t_i > 0; entries with t_i = 0 are exactly 0.
-    t may also be any per-entry weights t.probs, such as ccghc's type
-    classes; each entry is tilted on its own, so a class tilts exactly
-    as each of its members does.
+def tilt(t, w: CostVector, lam: float) -> np.ndarray:
+    """Tilted target t_i * 2^(lam * (w_min - w_i)) as a float array,
+    w_min the cheapest cost among symbols with t_i > 0; entries with
+    t_i = 0 are exactly 0. t is a Pmf or an array of per-entry weights,
+    such as ccghc's class targets; each entry is tilted on its own, so a
+    class tilts exactly as each of its members does.
 
     This is t * 2^(-lam w) times the constant 2^(lam w_min), which
     changes neither ghc's minimizer nor a normalized pmf. The shift keeps
@@ -61,35 +61,21 @@ def tilt(t: Pmf, w: CostVector, lam: float) -> TargetWeights:
     cheaper cost would not: with an unused symbol of cost 0 and the
     others near 10, lam = 110 scales every supported weight by about
     2^-1100, which is 0 as a float.
+
+    Raises:
+        ValueError: t and w differ in length, or lam is NaN or infinite.
     """
-    if len(t) != len(w):
-        raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
-    tp = t.probs
+    tp = _probs_of(t)
+    if len(tp) != len(w):
+        raise ValueError(f"length mismatch: {len(tp)} vs {len(w)}")
+    if not isfinite(lam):
+        raise ValueError(f"multiplier must be finite, got {lam!r}")
     supported = tp > 0
     costs = w.costs[supported]
     shift = lam * float(costs.min())
     out = np.zeros(len(tp))
     out[supported] = tp[supported] * np.exp2(shift - lam * costs)
-    return TargetWeights(out)
-
-
-class _TypeClasses:
-    """An instance's leaves grouped into type classes: leaves with equal
-    target weight and equal cost, which tilt to equal weights at every
-    multiplier. probs and cost hold one member's target weight and cost
-    per class, so tilt(classes, classes.cost, lam) tilts every member at
-    once; order and starts list the members as group_leaves does."""
-
-    __slots__ = ("probs", "cost", "order", "starts")
-
-    def __init__(self, t: Pmf, w: CostVector):
-        keys, self.order, self.starts = group_leaves(
-            zip(t.probs.tolist(), w.nums))
-        self.probs = np.array([p for p, _ in keys])
-        self.cost = CostVector._scaled(tuple(n for _, n in keys), w.den)
-
-    def __len__(self) -> int:
-        return len(self.probs)
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,15 +162,18 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
     if not eps > 0:
         raise ValueError("eps must be positive")
     S_exact = as_fraction(S)
-    cheapest = Fraction(min(n for n, p in zip(w.nums, t.probs) if p > 0),
-                        w.den)
+    # type classes: leaves with equal target weight and equal cost, which
+    # tilt to equal weights at every multiplier
+    keys, order, starts = group_leaves(zip(t.probs.tolist(), w.nums))
+    targets = np.array([p for p, _ in keys])
+    nums = tuple(n for _, n in keys)
+    costs = CostVector._scaled(nums, w.den)
+    cheapest = Fraction(min(n for p, n in keys if p > 0), w.den)
     if S_exact < cheapest:
         raise InfeasibleConstraintError(
             f"budget {S_exact} is below the cheapest supported symbol cost "
             f"{cheapest}")
 
-    classes = _TypeClasses(t, w)
-    order, starts, nums = classes.order, classes.starts, classes.cost.nums
     # the probabilities class by class, and each leaf's place among them
     by_class = np.zeros(len(t))
     place = np.empty(len(t), dtype=np.intp)
@@ -195,7 +184,7 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
         """(merge_classes' order, blocks, exact cost, KL) at lam when
         feasible, else None."""
         seq, _, blocks = merge_classes(
-            tilt(classes, classes.cost, lam).weights.tolist(), order, starts)
+            tilt(targets, costs, lam).tolist(), order, starts)
         # Kraft sum and cost over 2^top: a block at depth D holds 2^-D of
         # the probability
         kraft = cost = 0

@@ -1,5 +1,5 @@
-"""Prefix codes: canonical assignment, Huffman construction, Kraft
-verification, and code-table files.
+"""Prefix codes: canonical assignment, Kraft verification, and
+code-table files.
 
 A code table file is UTF-8 text, one entry per line as
 <symbol-or-block><TAB><bitstring>, with # starting a comment line and
@@ -8,12 +8,11 @@ blank lines ignored. Blocks are written as concatenated symbol tokens
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CodeFormatError
 from .pmf import DyadicPmf, kraft_sum
@@ -199,40 +198,6 @@ def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet) -> PrefixCode:
             code += 1
     return PrefixCode([(s, b) for s, b in zip(alphabet.symbols, bits)
                        if b is not None])
-
-
-def huffman(freqs: Sequence[float], alphabet: SymbolAlphabet) -> PrefixCode:
-    """Optimal prefix code for the given positive frequencies.
-
-    Ties are broken deterministically: nodes are keyed by (weight, lowest
-    symbol index inside), and of the two merged nodes the one with the
-    lower index becomes the 0-branch.
-    """
-    if len(freqs) != len(alphabet):
-        raise ValueError(f"length mismatch: {len(freqs)} vs {len(alphabet)}")
-    if len(freqs) < 2:
-        raise ValueError("need at least 2 symbols")
-    if any(not f > 0 for f in freqs):
-        raise ValueError("frequencies must all be positive")
-    heap = [(float(f), i, i) for i, f in enumerate(freqs)]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        fa, ia, a = heapq.heappop(heap)
-        fb, ib, b = heapq.heappop(heap)
-        zero, one = (a, b) if ia < ib else (b, a)
-        heapq.heappush(heap, (fa + fb, min(ia, ib), (zero, one)))
-    codewords = {}
-    stack = [(heap[0][2], "")]
-    while stack:
-        node, prefix = stack.pop()
-        if isinstance(node, int):
-            codewords[node] = prefix
-        else:
-            zero, one = node
-            stack.append((zero, prefix + "0"))
-            stack.append((one, prefix + "1"))
-    entries = [(alphabet.symbols[i], codewords[i]) for i in range(len(alphabet))]
-    return PrefixCode(entries)
 
 
 def _encode_token(symbol: str) -> str:

@@ -30,7 +30,9 @@ ratios, not on their scale: 1e-200 and 1e300 merge like 1.
 
 ghc groups the leaves by weight and writes each leaf's length from the
 blocks. ccghc groups them into type classes once and calls merge_classes
-at every probe, so a probe costs work per class, not per leaf.
+at every probe, so a probe costs work per class, not per leaf. Weights
+are plain float arrays, such as tilt returns; ghc and brute_force_dyadic
+check the ones they are given, and merge_classes takes a list of floats.
 
 brute_force_dyadic enumerates every dyadic pmf on small instances. It is
 the self-contained optimality oracle: the test suite certifies ghc against
@@ -40,7 +42,6 @@ merge rule being correct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
@@ -48,44 +49,27 @@ from math import frexp, ldexp, sqrt
 
 import numpy as np
 
-from .pmf import DyadicPmf, _readonly
+from .pmf import DyadicPmf, _probs_of
 
 _BRUTE_MAX_SUPPORT = 8
 _BRUTE_MAX_LEN = 10
 
 
-@dataclass(frozen=True, eq=False)
-class TargetWeights:
-    """Non-negative weights to be approximated by a dyadic pmf.
-
-    Need not sum to 1: tilted targets are sub-normalized, and
-    normalization only shifts the KL objective by a constant.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        arr = _readonly(self.weights)
-        object.__setattr__(self, "weights", arr)
-        if arr.ndim != 1 or len(arr) == 0:
-            raise ValueError("weights must be a non-empty vector")
-        # min and max propagate NaN, which fails every comparison
-        lo, hi = arr.min(), arr.max()
-        if not (lo >= 0 and hi < np.inf):
-            raise ValueError("weights must be finite and non-negative")
-        if not hi > 0:
-            raise ValueError("weights must have at least one positive entry")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 def _as_weights(x) -> np.ndarray:
-    if isinstance(x, TargetWeights):
-        return x.weights
-    if hasattr(x, "probs"):
-        return x.probs
-    return TargetWeights(np.asarray(x, dtype=float)).weights
+    """x as non-negative float weights, checked: a Pmf's or DyadicPmf's
+    probabilities, else x itself. They need not sum to 1: tilted
+    targets are sub-normalized, and normalization only shifts the KL
+    objective by a constant."""
+    w = np.atleast_1d(_probs_of(x))
+    if w.ndim != 1 or len(w) == 0:
+        raise ValueError("weights must be a non-empty vector")
+    # min and max propagate NaN, which fails every comparison
+    lo, hi = w.min(), w.max()
+    if not (lo >= 0 and hi < np.inf):
+        raise ValueError("weights must be finite and non-negative")
+    if not hi > 0:
+        raise ValueError("weights must have at least one positive entry")
+    return w
 
 
 def group_leaves(keys) -> tuple:
@@ -265,7 +249,8 @@ def ghc(x) -> DyadicPmf:
     """Dyadic pmf minimizing KL distance to the normalized weights.
 
     Arguments:
-        x: TargetWeights, Pmf, or plain sequence of non-negative weights.
+        x: Pmf, DyadicPmf, or an array or sequence of non-negative
+            weights, such as tilt returns.
 
     Returns:
         DyadicPmf with one length per input entry; zero-weight entries

@@ -50,11 +50,27 @@ def as_fraction(x: Number) -> Fraction:
 
 
 def _readonly(values: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                     dtype=float)
+    """A read-only float copy of values, at least 1-D; a caller's array
+    is copied, never frozen or shared."""
+    arr = np.array(values if isinstance(values, np.ndarray) else list(values),
+                   dtype=float)
     arr = np.atleast_1d(arr)
     arr.flags.writeable = False
     return arr
+
+
+def _json_numbers(text: str) -> list:
+    """The entries of a JSON array of numbers and decimal strings. Any
+    other entry (null, true, false, an array or an object) raises
+    ValueError naming it."""
+    values = json.loads(text)
+    if not isinstance(values, list):
+        raise ValueError("expected a JSON array")
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            raise ValueError(f"entry {i} is {json.dumps(v)}, not a number "
+                             "or a decimal string")
+    return values
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -82,10 +98,13 @@ class Pmf:
     @classmethod
     def from_json(cls, text: str) -> "Pmf":
         """Parse a JSON array of decimal strings (plain numbers accepted)."""
-        values = json.loads(text)
-        if not isinstance(values, list):
-            raise ValueError("expected a JSON array")
-        return cls(np.array([float(v) for v in values]))
+        values = _json_numbers(text)
+        try:
+            probs = [float(v) for v in values]
+        except OverflowError:  # an integer past the float range
+            raise ValueError(
+                "pmf entries must be finite and non-negative") from None
+        return cls(np.array(probs))
 
     def to_json(self) -> str:
         """JSON array of decimal strings, safe to round-trip through text."""
@@ -214,10 +233,8 @@ class CostVector:
 
     @classmethod
     def from_json(cls, text: str) -> "CostVector":
-        values = json.loads(text)
-        if not isinstance(values, list):
-            raise ValueError("expected a JSON array")
-        return cls([v if isinstance(v, str) else as_fraction(v) for v in values])
+        """Parse a JSON array of decimal strings (plain numbers accepted)."""
+        return cls(_json_numbers(text))
 
     def to_json(self) -> str:
         return json.dumps([_decimal_str(c) for c in self.exact])

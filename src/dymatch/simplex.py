@@ -46,7 +46,7 @@ def tilted_pmf(t: Pmf, w: CostVector, lam: float) -> Pmf:
     """Normalized tilted pmf proportional to t_i * 2^(-lam * w_i): the
     dyadic side's tilt, normalized. Zero-probability target symbols stay
     exactly zero."""
-    x = tilt(t, w, lam).weights
+    x = tilt(t, w, lam)
     return Pmf(x / x.sum())
 
 
@@ -63,7 +63,7 @@ def cost_of_lambda(t: Pmf, w: CostVector, lam: float) -> float:
     Takes the dot product on the normalized tilt directly: the bisection
     calls this at every step and needs no validated Pmf.
     """
-    x = tilt(t, w, lam).weights
+    x = tilt(t, w, lam)
     return float(np.dot(x / x.sum(), w.costs))
 
 

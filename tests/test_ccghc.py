@@ -10,7 +10,8 @@ from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
                      average_cost_exact, as_fraction, brute_force_dyadic,
                      ccghc, ghc, kl_divergence, kronecker_cost,
                      kronecker_pmf, tilt)
-from dymatch.ghc import TargetWeights, merge_classes
+from dymatch.ghc import merge_classes
+from dymatch.pmf import _probs_of
 from conftest import (_recomputing_ccghc, expand_blocks, heap_ghc,
                       random_costs, random_pmf, record_joins)
 
@@ -30,17 +31,27 @@ def objective(d, t, w, lam) -> float:
 class TestTilt:
     def test_identity_at_zero(self):
         x = tilt(T3, W3, 0.0)
-        assert np.allclose(x.weights, T3.probs)
+        assert np.allclose(x, T3.probs)
 
     def test_direct_evaluation(self):
         # t_i * 2^(lam (w_min - w_i)) with w_min = 0.18
         x = tilt(T3, W3, 10.0)
         want = [1 / 3, 1 / 3, 2.0 ** -1.3 / 3]
-        assert np.allclose(x.weights, want, rtol=0, atol=1e-15)
+        assert np.allclose(x, want, rtol=0, atol=1e-15)
+
+    def test_array_target_tilts_like_pmf(self):
+        x = tilt(T3, W3, 10.0)
+        assert type(x) is np.ndarray
+        assert np.array_equal(tilt(T3.probs.tolist(), W3, 10.0), x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tilt(T3, CostVector(("0.1", "0.2")), 1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_multiplier(self, lam):
+        with pytest.raises(ValueError, match="multiplier must be finite"):
+            tilt(T3, W3, lam)
 
     def test_cost_nonincreasing_in_lambda(self):
         # the staircase: ghc(tilt(lam)) cost never rises with lam
@@ -132,7 +143,7 @@ def _unsupported_shift_tilt(t, w, lam):
     # the earlier tilt, shifted by the cheapest cost of any symbol; on a
     # fully supported target it must give the very same weights
     shift = lam * float(w.costs.min())
-    return TargetWeights(t.probs * np.exp2(shift - lam * w.costs))
+    return _probs_of(t) * np.exp2(shift - lam * w.costs)
 
 
 def seeded_instances():
@@ -263,7 +274,7 @@ class TestRecomputationOracle:
     def test_disagreement_with_ghc_raises(self, monkeypatch):
         # the result is certified by ghc on the leaves at lambda_star
         monkeypatch.setattr(CCGHC_MODULE, "ghc",
-                            lambda x: ghc(np.flip(x.weights)))
+                            lambda x: ghc(np.flip(x)))
         with pytest.raises(RuntimeError, match="disagrees"):
             ccghc(*facade_instance(2))
 
@@ -309,8 +320,8 @@ class TestUnsupportedCheapSymbol:
 
     def test_tilt_keeps_exact_zeros(self):
         x = tilt(self.T, self.W, 1e6)
-        assert x.weights[0] == 0.0
-        assert x.weights[1] == 0.25
+        assert x[0] == 0.0
+        assert x[1] == 0.25
 
 
 class TestBlockThree:

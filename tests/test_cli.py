@@ -410,6 +410,26 @@ class TestUsageErrors:
                           "--budget", "0.22"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("entry", ["null", "[0.5]", '{"a": 1}', "true",
+                                       "false"],
+                             ids=["null", "list", "object", "true", "false"])
+    @pytest.mark.parametrize("which", ["target", "costs"])
+    def test_non_number_entry_exits_3(self, files, tmp_path, capsys, which,
+                                      entry):
+        # an entry must be a number or a decimal string; any other JSON
+        # value, booleans included, is named in the error
+        bad = tmp_path / "bad.json"
+        bad.write_text({"target": f"[0.5, {entry}, 0.5]",
+                        "costs": f'["0.18", {entry}, "0.31"]'}[which])
+        argv = {"target": files["target"], "costs": files["costs"],
+                which: str(bad)}
+        code, out, err = run(["match", "--target", argv["target"],
+                              "--costs", argv["costs"],
+                              "--budget", "0.22"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and f"entry 1 is {entry}," in err
+
     def test_missing_file_exits_3(self, files, capsys):
         code, _, _ = run(["match", "--target", "/nonexistent.json",
                           "--costs", files["costs"],

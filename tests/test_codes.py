@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dymatch import (CodeFormatError, DyadicPmf, PrefixCode, SymbolAlphabet,
-                     canonical_code, huffman, load_code, parse_code_table,
+                     canonical_code, load_code, parse_code_table,
                      save_code, verify_kraft)
 from dymatch.codes import prefix_violations
 from dymatch.facade import matcher_code, source_code
@@ -217,57 +217,6 @@ class TestCanonicalCode:
         rebuilt = canonical_code(DyadicPmf(lengths), blocks)
         assert sorted(len(b) for _, b in rebuilt.entries) == sorted(lengths)
         assert rebuilt.is_complete
-
-
-def _min_expected_length(freqs) -> float:
-    """Brute-force optimum over all complete codes of len(freqs) symbols."""
-    n = len(freqs)
-    best = float("inf")
-    for lengths in itertools.product(range(1, 7), repeat=n):
-        if sum(Fraction(1, 2 ** l) for l in lengths) != 1:
-            continue
-        # optimal assignment pairs short lengths with heavy symbols
-        cost = sum(f * l for f, l in zip(sorted(freqs, reverse=True),
-                                         sorted(lengths)))
-        best = min(best, cost)
-    return best / sum(freqs)
-
-
-class TestHuffman:
-    def test_two_symbols(self):
-        code = huffman((1, 1), SymbolAlphabet(("a", "b")))
-        assert dict(code.entries) == {"a": "0", "b": "1"}
-
-    def test_textbook_case(self):
-        code = huffman((4, 2, 1, 1), SymbolAlphabet(tuple("abcd")))
-        assert [len(code.bits_for(s)) for s in "abcd"] == [1, 2, 3, 3]
-        expected = sum(f * len(code.bits_for(s))
-                       for f, s in zip((4, 2, 1, 1), "abcd")) / 8
-        assert expected == 1.75
-
-    def test_optimal_on_small_alphabets(self):
-        cases = [(5, 3, 2, 1), (1, 1, 1, 1, 1), (8, 4, 2, 1, 1),
-                 (3, 3, 2, 2, 1, 1)]
-        for freqs in cases:
-            alpha = SymbolAlphabet(tuple("abcdef"[:len(freqs)]))
-            code = huffman(freqs, alpha)
-            got = sum(f * len(code.bits_for(s))
-                      for f, s in zip(freqs, alpha)) / sum(freqs)
-            assert got == pytest.approx(_min_expected_length(freqs),
-                                        abs=1e-12), freqs
-
-    def test_deterministic_ties(self):
-        a = huffman((1, 1, 1, 1), SymbolAlphabet(tuple("abcd")))
-        b = huffman((1, 1, 1, 1), SymbolAlphabet(tuple("abcd")))
-        assert a == b
-
-    def test_rejects_zero_frequency(self):
-        with pytest.raises(ValueError):
-            huffman((1, 0), SymbolAlphabet(("a", "b")))
-
-    def test_complete_always(self):
-        code = huffman((7, 5, 2, 1, 1), SymbolAlphabet(tuple("abcde")))
-        assert code.is_complete
 
 
 class TestShippedTables:

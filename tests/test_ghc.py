@@ -8,10 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dymatch import (CostVector, Pmf, TargetWeights, as_fraction,
-                     brute_force_dyadic, ccghc, ghc, kl_divergence,
-                     kronecker_cost, kronecker_pmf, tilt)
-from dymatch.ccghc import _TypeClasses
+from dymatch import (CostVector, Pmf, as_fraction, brute_force_dyadic,
+                     ccghc, ghc, kl_divergence, kronecker_cost,
+                     kronecker_pmf, tilt)
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 from dymatch.ghc import group_leaves, merge_classes
 from conftest import (_recomputing_ccghc, expand_blocks, heap_ghc,
@@ -116,6 +115,15 @@ def tied_weights(draw):
     return [math.ldexp(v, shift) for v in xs]
 
 
+def _type_classes(t, w) -> tuple:
+    """The type classes of (t, w) as ccghc groups them: leaves with equal
+    target weight and cost. (class targets, class costs, order, starts)."""
+    keys, order, starts = group_leaves(zip(t.probs.tolist(), w.nums))
+    return (np.array([p for p, _ in keys]),
+            CostVector._scaled(tuple(n for _, n in keys), w.den),
+            order, starts)
+
+
 def dyadic_kl(d, weights) -> float:
     """kl(d || normalized weights) in bits."""
     xs = np.asarray(weights, dtype=float)
@@ -123,16 +131,35 @@ def dyadic_kl(d, weights) -> float:
 
 
 class TestTargetWeights:
+    """ghc's checks on the weights it is given, each with its message."""
+
     def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            TargetWeights((0.0, 0.0))
+        with pytest.raises(ValueError, match="at least one positive"):
+            ghc((0.0, 0.0))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            TargetWeights((0.5, -0.1))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ghc((0.5, -0.1))
 
     def test_subnormalized_ok(self):
-        TargetWeights((0.1, 0.05))
+        assert ghc((0.1, 0.05)).lengths == (1, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ghc((0.5, bad))
+
+    @pytest.mark.parametrize("shape", [[], [[0.5, 0.5]], [[0.5], [0.5]]])
+    def test_rejects_non_vector(self, shape):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            ghc(np.array(shape))
+
+    def test_brute_force_same_checks(self):
+        for bad, message in (((0.0, 0.0), "at least one positive"),
+                             ((0.5, np.nan), "finite and non-negative"),
+                             ([], "non-empty vector")):
+            with pytest.raises(ValueError, match=message):
+                brute_force_dyadic(bad)
 
 
 class TestGhc:
@@ -276,11 +303,11 @@ class TestAgainstHeapMerge:
     def _class_merge(monkeypatch, t, w, lam) -> tuple:
         """The class merge of the type classes of (t, w) at lam, expanded
         to leaves, and the runs of each join it made, by kind."""
-        classes = _TypeClasses(t, w)
-        weights = tilt(classes, classes.cost, lam).weights.tolist()
+        targets, costs, order, starts = _type_classes(t, w)
+        weights = tilt(targets, costs, lam).tolist()
         with monkeypatch.context() as m:
             joins = record_joins(m)
-            merged = merge_classes(weights, classes.order, classes.starts)
+            merged = merge_classes(weights, order, starts)
         return expand_blocks(merged, len(t)), joins
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 3.0])
@@ -303,8 +330,8 @@ class TestAgainstHeapMerge:
         # the first probe: every type class has the weight 3^-k, and the
         # k + 1 classes stay one family; no node list is built
         t, w = kronecker_pmf(TARGET, k), kronecker_cost(SLAT_COSTS, k)
-        classes = _TypeClasses(t, w)
-        assert len(set(tilt(classes, classes.cost, 0.0).weights)) == 1
+        targets, costs, _, _ = _type_classes(t, w)
+        assert len(set(tilt(targets, costs, 0.0))) == 1
         monkeypatch.setattr(GHC_MODULE, "_nodes",
                             lambda run, order: pytest.fail("node list"))
         got, joined = self._class_merge(monkeypatch, t, w, 0.0)

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dymatch import (SIZE_CAP, CostVector, DyadicPmf, Pmf, SizeCapError,
-                     as_fraction, average_cost, average_cost_exact,
+                     as_fraction, average_cost, average_cost_exact, ghc,
                      kl_divergence, kronecker_cost, kronecker_pmf)
 from dymatch.pmf import check_size_cap
 
@@ -67,6 +67,15 @@ class TestPmf:
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
 
+    def test_callers_array_stays_writeable_and_unshared(self):
+        a = np.array([0.5, 0.25, 0.25])
+        p = Pmf(a)
+        assert ghc(a).lengths == (1, 2, 2)
+        assert a.flags.writeable
+        a[:] = [0.25, 0.25, 0.5]
+        assert p.probs.tolist() == [0.5, 0.25, 0.25]
+        assert ghc(a).lengths == (2, 2, 1)
+
     def test_zero_entries_allowed(self):
         p = Pmf(np.array([1.0, 0.0]))
         assert p[1] == 0.0
@@ -78,6 +87,13 @@ class TestPmf:
     def test_from_json_rejects_non_array(self):
         with pytest.raises(ValueError):
             Pmf.from_json('{"a": 1}')
+
+    def test_from_json_rejects_integer_past_float_range(self):
+        # a JSON float past the range reads as inf; an integer raises
+        # OverflowError in float(), and both are the same bad entry
+        for big in ("1e400", "9" * 400):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                Pmf.from_json(f"[0.5, {big}, 0.5]")
 
 
 class TestDyadicPmf:

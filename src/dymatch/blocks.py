@@ -100,10 +100,11 @@ def chord(t: Pmf, w: CostVector, E_star: float,
     points, so strict convexity keeps it above the tangent slope lam(E*).
 
     Raises:
-        ValueError: epsilon so large that D never reaches D(E*) + epsilon
-            above the cheapest supported cost.
+        ValueError: epsilon not positive (NaN included), or so large that
+            D never reaches D(E*) + epsilon above the cheapest supported
+            cost; E_star NaN.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     sol = solve_simplex(t, w, E_star)
     target = sol.D + epsilon

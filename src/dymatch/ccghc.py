@@ -24,12 +24,17 @@ weight and equal cost tilt to equal weights at every multiplier, so
 ccghc groups them once, into an array of class targets and a CostVector
 of class costs. Each probe tilts that array, one weight per class, and
 runs ghc's merge core, merge_classes, on the weights (the facade's 3^k
-blocks form k+1 classes). A probe's Kraft sum and exact cost are
-integer sums over the blocks of the code tree, and its KL is
-kl_divergence on the expanded probabilities, so the trace is what
-probing the leaves gives. The result is certified once on the leaves:
-ghc, average_cost_exact and kl_divergence recompute it at lambda_star,
-and any disagreement with the class probe raises RuntimeError.
+blocks form k+1 classes). When classes tilt to one positive weight (all
+of the facade's at multiplier 0), the probe first lays them out as one
+class over their leaves in index order, so the merge pairs them as one
+run. A probe's Kraft sum is an integer sum over the blocks of the code
+tree, and its exact cost one too: a block's cost numerator is a
+difference of prefix sums of the leaves' cost numerators, taken in the
+layout's order. Its KL is kl_divergence on the expanded probabilities,
+so the trace is what probing the leaves gives. The result is certified
+once on the leaves: ghc, average_cost_exact and kl_divergence recompute
+it at lambda_star, and any disagreement with the class probe raises
+RuntimeError.
 """
 from __future__ import annotations
 
@@ -166,59 +171,70 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
     # tilt to equal weights at every multiplier
     keys, order, starts = group_leaves(zip(t.probs.tolist(), w.nums))
     targets = np.array([p for p, _ in keys])
-    nums = tuple(n for _, n in keys)
-    costs = CostVector._scaled(nums, w.den)
+    costs = CostVector._scaled(tuple(n for _, n in keys), w.den)
     cheapest = Fraction(min(n for p, n in keys if p > 0), w.den)
     if S_exact < cheapest:
         raise InfeasibleConstraintError(
             f"budget {S_exact} is below the cheapest supported symbol cost "
             f"{cheapest}")
 
-    # the probabilities class by class, and each leaf's place among them
-    by_class = np.zeros(len(t))
-    place = np.empty(len(t), dtype=np.intp)
-    place[order] = np.arange(len(t))
+    # the leaves' cost numerators as Python ints, so that their prefix
+    # sums are exact however large
+    nums = np.array(w.nums, dtype=object)
+
+    def lay_out(order):
+        """Each leaf's place in order, and the prefix sums of the leaves'
+        cost numerators in that order."""
+        order = np.fromiter(order, np.intp, len(t))
+        place = np.empty(len(t), dtype=np.intp)
+        place[order] = np.arange(len(t))
+        return place, [0, *np.cumsum(nums[order]).tolist()]
+
+    classes = (order, starts, *lay_out(order))
+    by_place = np.zeros(len(t))
+    # a block has 2^d <= len(t) leaves, so d < bits
+    bits = len(t).bit_length()
     trace = []
 
     def probe(lam: float):
-        """(merge_classes' order, blocks, exact cost, KL) at lam when
-        feasible, else None."""
-        seq, _, blocks = merge_classes(
-            tilt(targets, costs, lam).tolist(), order, starts)
-        # Kraft sum and cost over 2^top: a block at depth D holds 2^-D of
-        # the probability
+        """(the class layout, merge_classes' blocks, exact cost, KL) at
+        lam when feasible, else None."""
+        weights = tilt(targets, costs, lam).tolist()
+        lay, at, place, sums = classes
+        # fewer distinct positive weights than positive ones: classes
+        # of one positive weight are laid out as one class, over their
+        # leaves in index order. Classes at weight 0 get no codeword, so
+        # their ties (zero targets) call for no layout, which would cost
+        # work per leaf at every probe.
+        if (len(set(weights)) - (0.0 in weights)
+                < len(weights) - weights.count(0.0)):
+            groups: dict = {}
+            for c, v in enumerate(weights):
+                groups.setdefault(v, []).extend(order[starts[c]:starts[c + 1]])
+            weights, lay, at = list(groups), [], [0]
+            for members in groups.values():
+                lay += sorted(members)
+                at.append(len(lay))
+            place, sums = lay_out(lay)
+        blocks = merge_classes(weights, lay, at)
+        # Kraft sum and cost over 2^top, top beyond the longest codeword:
+        # a block at depth D holds 2^-D of the probability
+        top = blocks[-1][0] + bits
         kraft = cost = 0
-        if seq is order:
-            # all of it on members of one class
-            top = blocks[-1][0]
-            by_class.fill(0.0)
-            for depth, c, pos, d in blocks:
-                kraft += 1 << (top - depth)
-                cost += nums[c] << (top - depth)
-                by_class[pos:pos + (1 << d)] = ldexp(1.0, -depth - d)
-            probs = by_class[place]
-        else:
-            # classes were joined: a block over a joined sequence holds
-            # leaves of several classes, so each member's cost is summed,
-            # over 2^top with top the longest codeword
-            top = max(depth + d for depth, _, _, d in blocks)
-            by_seq = np.zeros(len(seq))
-            for depth, c, pos, d in blocks:
-                kraft += 1 << (top - depth)
-                members = map(w.nums.__getitem__, seq[pos:pos + (1 << d)])
-                cost += sum(members) << (top - depth - d)
-                by_seq[pos:pos + (1 << d)] = ldexp(1.0, -depth - d)
-            # a leaf has several places, one of them in a block and the
-            # others 0, so summing them is exact
-            probs = np.bincount(seq, by_seq, len(t))
+        by_place.fill(0.0)
+        for depth, _, pos, d in blocks:
+            end = pos + (1 << d)
+            kraft += 1 << (top - depth)
+            cost += (sums[end] - sums[pos]) << (top - depth - d)
+            by_place[pos:end] = ldexp(1.0, -depth - d)
         if kraft != 1 << top:
             raise ValueError(f"Kraft sum is {Fraction(kraft, 1 << top)}, "
                              "not 1")
         cost = Fraction(cost, w.den << top)
-        kl = kl_divergence(probs, t)
+        kl = kl_divergence(by_place[place], t)
         feasible = cost <= S_exact
         trace.append(Evaluation(lam, float(cost), kl, feasible))
-        return (seq, blocks, cost, kl) if feasible else None
+        return (lay, blocks, cost, kl) if feasible else None
 
     # found is always the probe at u, the feasible end of the bracket
     lo = u = 0.0
@@ -247,9 +263,9 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
             lo = mid
         mid = 0.5 * (lo + u)
     # certify the class probe at u on the leaves themselves
-    seq, blocks, cost, kl = found
+    lay, blocks, cost, kl = found
     d = ghc(tilt(t, w, u))
-    if (d.lengths != tuple(leaf_lengths(blocks, seq, len(t)))
+    if (d.lengths != tuple(leaf_lengths(blocks, lay, len(t)))
             or average_cost_exact(d, w) != cost
             or kl_divergence(d, t) != kl):
         raise RuntimeError(f"the class merge at lambda {u!r} disagrees "

@@ -65,6 +65,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {spec!r}")
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"grid ends must be finite, got {spec!r}")
     if n < 2:
         raise ValueError("grid needs at least 2 points")
     if not a < b:

@@ -8,6 +8,7 @@ blank lines ignored. Blocks are written as concatenated symbol tokens
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -18,6 +19,9 @@ from .errors import CodeFormatError
 from .pmf import DyadicPmf, kraft_sum
 
 SPACE_TOKEN = "_"
+
+# the first character of a bit string that is not a bit
+_NOT_A_BIT = re.compile("[^01]")
 
 
 @dataclass(frozen=True)
@@ -229,10 +233,13 @@ def parse_code_table(text: str) -> list:
         if not bits:
             raise CodeFormatError("empty codeword", line=lineno,
                                   column=len(line) + 1)
-        for j, c in enumerate(bits):
-            if c not in "01":
-                raise CodeFormatError(f"invalid bit {c!r}", line=lineno,
-                                      column=line.index("\t") + 2 + j)
+        # bits starts with no whitespace, so its first place after the
+        # tab is where the stripped codeword starts
+        start = line.index(bits, line.index("\t"))
+        bad = _NOT_A_BIT.search(line, start, start + len(bits))
+        if bad:
+            raise CodeFormatError(f"invalid bit {bad.group()!r}",
+                                  line=lineno, column=bad.start() + 1)
         symbol = _decode_token(token)
         if symbol in seen_syms:
             raise CodeFormatError(f"duplicate symbol {token!r}", line=lineno)

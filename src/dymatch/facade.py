@@ -28,9 +28,6 @@ SHADOWING_BUDGET = as_fraction("0.2063")
 STRICT_BUDGET = as_fraction("0.206")
 
 SLAT_COUNT = 4264
-BLOCK_LENGTH = 3
-
-TEXT_ALPHABET = SymbolAlphabet(tuple("abcdefghijklmnopqrstuvwxyz") + (" ",))
 
 # measured on the original installation's corpus (not distributed)
 REPORTED_EFFECTIVE_FREQS = (0.3838, 0.39457, 0.22162)

@@ -14,19 +14,19 @@ one run of n blocks of one leaf, its n//2 pairs are one run of blocks of
 two consecutive members, and so on, so pairing a run is one step however
 many nodes it has. Only an odd node left over meets the next-heavier run
 under the drop rule, and it takes that run's first block. Runs that meet
-at one weight are joined. Classes that meet at one weight (the facade's
-k+1 type classes at multiplier 0) stay one family: their leaves, sorted
-by index, are laid end to end as a new sequence after the classes in
-order, and the family runs over it as over a class. Any other join
-expands the runs into lists of nodes and joins them in index order. A
-block target has few classes (the facade's 3^k blocks have k+1 tilted
-weights), so merge_classes takes a few steps per class where merging the
-lightest two nodes at a time takes one per leaf. Nodes are taken in the
-order (weight, smallest leaf index) that the node-at-a-time merge uses,
-so both give the same tree. The weights are first scaled by the power of
-two that puts the largest in [0.5, 1). The products in the merge then
-never overflow, and whether one underflows depends on the weights'
-ratios, not on their scale: 1e-200 and 1e300 merge like 1.
+at one weight are joined as one list of nodes in index order. A caller
+whose classes tie lays them out as one class first, over their leaves
+sorted by index, so that the merge pairs that class as a run and builds
+no node per leaf: ccghc does so at the facade's multiplier 0, where all
+k+1 type classes share one weight. A block target has few classes (the
+facade's 3^k blocks have k+1 tilted weights), so merge_classes takes a
+few steps per class where merging the lightest two nodes at a time takes
+one per leaf. Nodes are taken in the order (weight, smallest leaf index)
+that the node-at-a-time merge uses, so both give the same tree. The
+weights are first scaled by the power of two that puts the largest in
+[0.5, 1). The products in the merge then never overflow, and whether one
+underflows depends on the weights' ratios, not on their scale: 1e-200
+and 1e300 merge like 1.
 
 ghc groups the leaves by weight and writes each leaf's length from the
 blocks. ccghc groups them into type classes once and calls merge_classes
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain
 from math import frexp, ldexp, sqrt
 
 import numpy as np
@@ -113,13 +112,7 @@ def _join_nodes(runs, order) -> tuple:
     return tuple(zip(*nodes))
 
 
-def _join_families(runs, order) -> list:
-    """The leaves of families of single leaves, sorted by index."""
-    return sorted(chain.from_iterable(order[pos:pos + n]
-                                      for _, _, _, pos, _, n in runs))
-
-
-def merge_classes(weights, order, starts) -> tuple:
+def merge_classes(weights, order, starts) -> list:
     """The ghc merge over classes of leaves that share a weight.
 
     Arguments:
@@ -127,24 +120,21 @@ def merge_classes(weights, order, starts) -> tuple:
         order, starts: each class's leaves, as group_leaves gives them.
 
     Returns:
-        (order, starts, blocks). order and starts are the arguments
-        when no classes were joined, else copies extended by one
-        sequence per join of classes: sequence c >= len(weights) is
-        order[starts[c]:starts[c + 1]], leaves of several classes.
-        blocks are the code tree's leaves as blocks
-        (depth, c, pos, d), by increasing depth: the 2^d leaves
-        order[pos:pos + 2^d], all of class or sequence c, each get
-        codeword length depth + d. A leaf in no block is dropped. The
-        lengths are the ones the node-at-a-time merge gives the leaves,
-        each with its class's weight.
+        The code tree's leaves as blocks (depth, c, pos, d), by
+        increasing depth: the 2^d leaves order[pos:pos + 2^d], all of
+        class c, each get codeword length depth + d. A leaf in no block
+        is dropped. The lengths are the ones the node-at-a-time merge
+        gives the leaves, each with its class's weight. Runs that meet
+        at one weight, classes of one weight among them, are joined as
+        a node list, which costs a node per leaf; a caller whose classes
+        tie does better to pass them as one class.
     """
     shift = -frexp(max(weights))[1]
     # the heap holds one entry per run, (weight, smallest leaf index,
     # ...). A family (c, pos, d, n) is n blocks of 2^d consecutive
-    # members of class or sequence c, from order[pos] on. A node list
-    # (indices, subtrees) holds each node's smallest leaf index and
-    # subtree, a block (c, pos, d) or a (left, right) pair. Each is in
-    # index order.
+    # members of class c, from order[pos] on. A node list (indices,
+    # subtrees) holds each node's smallest leaf index and subtree, a
+    # block (c, pos, d) or a (left, right) pair. Each is in index order.
     heap = []
     for c, v in enumerate(weights):
         v = ldexp(v, shift)
@@ -161,17 +151,8 @@ def merge_classes(weights, order, starts) -> tuple:
             runs = [run]
             while heap and heap[0][0] == v:
                 runs.append(heappop(heap))
-            if all(len(r) == 6 and r[4] == 0 for r in runs):
-                # classes of one weight stay one family, over their
-                # leaves in index order
-                joined = _join_families(runs, order)
-                pos = len(order)
-                order = order + joined
-                starts = starts + [len(order)]
-                run = (v, joined[0], len(starts) - 2, pos, 0, len(joined))
-            else:
-                index, tree = _join_nodes(runs, order)
-                run = (v, index[0], index, tree)
+            index, tree = _join_nodes(runs, order)
+            run = (v, index[0], index, tree)
         # the lightest two nodes are the run's first two, then its next
         # two: each merged node is heavier than the rest of it
         if len(run) == 6:
@@ -232,12 +213,12 @@ def merge_classes(weights, order, starts) -> tuple:
                 blocks.append((depth, *node))
         level = below
         depth += 1
-    return order, starts, blocks
+    return blocks
 
 
 def leaf_lengths(blocks, order, size: int) -> list:
-    """The codeword lengths of leaves 0..size-1 from the order and blocks
-    that merge_classes returns, None for a dropped leaf."""
+    """The codeword lengths of leaves 0..size-1 from the blocks that
+    merge_classes returns over order, None for a dropped leaf."""
     lengths: list = [None] * size
     for depth, _, pos, d in blocks:
         for i in order[pos:pos + (1 << d)]:
@@ -265,7 +246,8 @@ def ghc(x) -> DyadicPmf:
     exact (no entry overflows or loses bits to underflow).
     """
     x = _as_weights(x)
-    order, _, blocks = merge_classes(*group_leaves(x.tolist()))
+    weights, order, starts = group_leaves(x.tolist())
+    blocks = merge_classes(weights, order, starts)
     return DyadicPmf(tuple(leaf_lengths(blocks, order, len(x))))
 
 

@@ -10,7 +10,6 @@ the decode direction can strip the padding exactly.
 from __future__ import annotations
 
 import os
-import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import PrefixCode, SymbolAlphabet, verify_kraft
+from .codes import _NOT_A_BIT, PrefixCode, SymbolAlphabet, verify_kraft
 from .errors import CodeFormatError
 from .facade import SLAT_ALPHABET, SLOT_WIDTH
 from .pmf import CostVector, Pmf, average_cost
@@ -52,9 +51,6 @@ class EncodeResult:
     bit_count: int
     pad_bits: int
     stats: Optional[FrequencyStats] = None
-
-
-_NOT_A_BIT = re.compile("[^01]")
 
 
 def _validate_bits(bits: str) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from math import isnan
 from typing import Sequence
 
 import numpy as np
@@ -83,11 +84,14 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
         COST_TOL is finer than their spacing (costs in the thousands).
 
     Raises:
+        ValueError: E is NaN, or t and w differ in length.
         InfeasibleConstraintError: E at or below the cheapest supported cost.
         ConvergenceError: f(lam) is still above E at lam = 2^128.
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
+    if isnan(E):
+        raise ValueError(f"budget must be a number, got {E!r}")
     if w.is_uniform:
         raise ValueError("degenerate cost vector: all entries equal")
     supported = w.costs[t.probs > 0]

@@ -19,7 +19,7 @@ from dymatch import (CcGhcResult, CostVector, DyadicPmf, Pmf,
                      tilt)
 from dymatch.ccghc import Evaluation
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
-from dymatch.ghc import _as_weights
+from dymatch.ghc import _as_weights, merge_classes
 
 settings.register_profile(
     "ci", max_examples=50, deadline=None,
@@ -165,13 +165,12 @@ def _recomputing_ccghc(t, w, S, eps=1e-9):
     return result(u, iterations, (lo, u))
 
 
-def expand_blocks(merged, size: int) -> tuple:
-    """The lengths of leaves 0..size-1 from what merge_classes returns
-    (None if dropped), checking that every block lies inside its class
-    or joined sequence and that no leaf is in two blocks."""
-    order, starts, blocks = merged
-    lengths: list = [None] * size
-    for depth, c, pos, d in blocks:
+def expand_blocks(weights, order, starts) -> tuple:
+    """merge_classes on its arguments, as the lengths of leaves
+    0..len(order)-1 (None if dropped), checking that every block lies
+    inside its class and that no leaf is in two blocks."""
+    lengths: list = [None] * len(order)
+    for depth, c, pos, d in merge_classes(weights, order, starts):
         assert starts[c] <= pos and pos + (1 << d) <= starts[c + 1]
         for i in order[pos:pos + (1 << d)]:
             assert lengths[i] is None
@@ -179,14 +178,13 @@ def expand_blocks(merged, size: int) -> tuple:
     return tuple(lengths)
 
 
-def record_joins(monkeypatch) -> dict:
-    """Hook the two joins of ghc's merge core: the number of runs of
-    each family join and of each node-list join, by kind."""
+def record_joins(monkeypatch) -> list:
+    """Hook the node-list join of ghc's merge core: the number of runs
+    of each join."""
     module = importlib.import_module("dymatch.ghc")
-    joins = {"families": [], "nodes": []}
-    for kind, log in joins.items():
-        join = getattr(module, f"_join_{kind}")
-        monkeypatch.setattr(module, f"_join_{kind}",
-                            lambda runs, order, join=join, log=log:
-                            log.append(len(runs)) or join(runs, order))
+    joins: list = []
+    join = module._join_nodes
+    monkeypatch.setattr(module, "_join_nodes",
+                        lambda runs, order: joins.append(len(runs))
+                        or join(runs, order))
     return joins

@@ -1,5 +1,6 @@
 """Blocklength extension: convergence records, chord, achievability."""
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,12 @@ class TestChord:
     def test_epsilon_too_large(self, facade_t, facade_w):
         with pytest.raises(ValueError):
             chord(facade_t, facade_w, 0.2063, 0.6)
+
+    def test_nan_rejected(self, facade_t, facade_w):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            chord(facade_t, facade_w, 0.2063, math.nan)
+        with pytest.raises(ValueError, match="budget must be a number"):
+            chord(facade_t, facade_w, math.nan, 0.01)
 
     def test_chord_hits_target_distance(self, facade_t, facade_w):
         ch = chord(facade_t, facade_w, 0.2063, 0.01)

@@ -10,7 +10,7 @@ from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
                      average_cost_exact, as_fraction, brute_force_dyadic,
                      ccghc, ghc, kl_divergence, kronecker_cost,
                      kronecker_pmf, tilt)
-from dymatch.ghc import merge_classes
+from dymatch.ghc import group_leaves, merge_classes
 from dymatch.pmf import _probs_of
 from conftest import (_recomputing_ccghc, expand_blocks, heap_ghc,
                       random_costs, random_pmf, record_joins)
@@ -216,10 +216,10 @@ class TestRecomputationOracle:
         joined = []
 
         def merge(*args):
-            # whether this probe's merge joined runs, of either kind
-            before = sum(map(len, joins.values()))
+            # whether this probe's merge joined runs
+            before = len(joins)
             merged = merge_classes(*args)
-            joined.append(sum(map(len, joins.values())) > before)
+            joined.append(len(joins) > before)
             return merged
 
         with monkeypatch.context() as m:
@@ -250,7 +250,7 @@ class TestRecomputationOracle:
         assert len(merges["merge_classes"]) == len(res.trace)
         assert len(merges["ghc"]) == 1
         for args, probe in zip(merges["merge_classes"], res.trace):
-            assert expand_blocks(merge_classes(*args), len(t)) \
+            assert expand_blocks(*args) \
                 == heap_ghc(tilt(t, w, probe.lam)).lengths
         if k == 7:
             assert len(merges["merge_classes"]) == 37
@@ -264,8 +264,7 @@ class TestRecomputationOracle:
     def test_blocks_failing_kraft_raise(self, monkeypatch):
         # a class merge that loses a block fails the probe's Kraft check
         def lose_block(*args):
-            order, starts, blocks = merge_classes(*args)
-            return order, starts, blocks[:-1]
+            return merge_classes(*args)[:-1]
 
         monkeypatch.setattr(CCGHC_MODULE, "merge_classes", lose_block)
         with pytest.raises(ValueError, match="Kraft sum"):
@@ -277,6 +276,23 @@ class TestRecomputationOracle:
                             lambda x: ghc(np.flip(x)))
         with pytest.raises(RuntimeError, match="disagrees"):
             ccghc(*facade_instance(2))
+
+    def test_zero_targets_are_no_tie(self, merges):
+        # zeros on symbols of different costs: at k = 2 several type
+        # classes have target 0 and tilt to 0 at every probe. No leaf of
+        # theirs gets a codeword, so that tie is no reason to lay the
+        # classes out again: every probe merges them as ccghc grouped them
+        t = kronecker_pmf(Pmf([0.6, 0.0, 0.4, 0.0]), 2)
+        w = kronecker_cost(CostVector([1, 2, 3, 0]), 2)
+        keys, order, starts = group_leaves(zip(t.probs.tolist(), w.nums))
+        assert len({n for p, n in keys if p == 0}) > 1
+        got = ccghc(t, w, "2.8")
+        assert got.iterations > 0
+        assert len(merges["merge_classes"]) == len(got.trace)
+        for weights, got_order, got_starts in merges["merge_classes"]:
+            assert len(weights) == len(keys)
+            assert got_order == order and got_starts == starts
+        assert got == _recomputing_ccghc(t, w, "2.8")
 
 
 class TestFloatResolution:

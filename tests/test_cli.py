@@ -256,6 +256,19 @@ class TestCurve:
                           "--grid", "0.22:0.19:7"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("grid", ["0.181:inf:3", "-inf:0.2:3",
+                                      "nan:0.2:3", "0.181:nan:3"])
+    def test_grid_end_not_finite(self, files, grid):
+        # one error line and nothing else: no numpy warning before it
+        proc = subprocess.run(
+            [sys.executable, "-m", "dymatch", "curve",
+             "--target", files["target"], "--costs", files["costs"],
+             f"--grid={grid}"], capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
 
 class TestSweep:
     def test_csv_shape(self, files, capsys):

@@ -271,6 +271,17 @@ class TestCodeTableIO:
         assert err.value.column == 5
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("line, column", [
+        ("a\t  01x", 7), ("a  \t01x", 7), ("a\t \t01x  ", 7),
+        ("a\t\u200901x", 6)])
+    def test_parse_column_counts_whitespace(self, line, column):
+        # the column is the bad bit's place in the raw line, whatever
+        # whitespace precedes the codeword
+        with pytest.raises(CodeFormatError, match="invalid bit 'x'") as err:
+            parse_code_table(line)
+        assert err.value.column == column
+        assert line[column - 1] == "x"
+
     def test_parse_rejects_missing_tab(self):
         with pytest.raises(CodeFormatError) as err:
             parse_code_table("a 010\n")

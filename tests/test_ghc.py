@@ -32,64 +32,57 @@ def _four_times(a: float) -> list:
 _FOUR_TIMES = [0.0, *_four_times(2.0), *_four_times(1.0)[:3]]
 KRON_FOUR_TIMES = np.kron(_FOUR_TIMES, _FOUR_TIMES).tolist()
 
-# Pairing doubles a weight exactly, so families meet at one weight as
-# classes of one weight, unless the square in 2 sqrt(v v) is subnormal:
-# TINY, TINY_B and TINY_C all pair to 2 TINY, and such blocks of two
-# are joined as a node list. Next to a weight near 1 these leaves are
-# dropped, as no merge of them gets within 4x of it.
+# Pairing doubles a weight exactly, so pairs of different weights meet
+# only where the square in 2 sqrt(v v) is subnormal: TINY, TINY_B and
+# TINY_C all pair to 2 TINY, and such blocks of two are joined as a node
+# list. Next to a weight near 1 these leaves are dropped, as no merge of
+# them gets within 4x of it.
 TINY = 2.0 ** -520
 TINY_B = math.nextafter(TINY, 1.0)
 TINY_C = math.nextafter(TINY_B, 1.0)
 # scaled by 1/2 with the largest weight 1, both round to 2 SUB
 SUB = math.ulp(0.0)
 
-# each leaf's (weight, class) for merge_classes; the runs of each join
-# it makes, by kind; and the sequences it lays out, order[len(leaves):]
+# each leaf's (weight, class) for merge_classes; the runs of each
+# node-list join that merge_classes makes on the classes, and of each
+# that ccghc's merges make at multiplier 0, where ccghc first lays out
+# the classes of one weight as one class
 CLASS_JOINS = {
-    # two classes of one weight stay one family, then pair into blocks
-    # of two and four leaves of the joined sequence
+    # two classes of one weight are joined as one node list, which pairs
+    # into (0, 1) and (2, 3); laid out as one class, they need no join
     "paired joined family": (
-        [(1.0, "a"), (1.0, "b"), (1.0, "a"), (1.0, "b")],
-        {"families": [2], "nodes": []}, [0, 1, 2, 3]),
+        [(1.0, "a"), (1.0, "b"), (1.0, "a"), (1.0, "b")], [2], []),
     # class a's pairs (1, 4) and (5, 6) meet class b's (2, 3)
     "blocks of two joined": (
         [(0.5, "x"), (TINY, "a"), (TINY_B, "b"), (TINY_B, "b"),
-         (TINY, "a"), (TINY, "a"), (TINY, "a")],
-        {"families": [], "nodes": [2]}, []),
-    # the joined family's pair meets class c's leaf at weight 1
+         (TINY, "a"), (TINY, "a"), (TINY, "a")], [2], [2]),
+    # classes a and b meet at weight 0.5, and their pair meets class c's
+    # leaf at weight 1
     "nested join": (
-        [(0.5, "a"), (0.5, "b"), (1.0, "c")],
-        {"families": [2], "nodes": [2]}, [0, 1]),
+        [(0.5, "a"), (0.5, "b"), (1.0, "c")], [2, 2], [2]),
     # class a's pair meets leaf 0 at weight 4, and their pair meets leaf
     # 1 at weight 8
     "family with node list": (
-        [(4.0, "b"), (8.0, "c"), (2.0, "a"), (2.0, "a")],
-        {"families": [], "nodes": [2, 2]}, []),
-    # leaf 2, left over, takes the joined family's first block (0, 1)
+        [(4.0, "b"), (8.0, "c"), (2.0, "a"), (2.0, "a")], [2, 2], [2, 2]),
+    # leaf 2, left over, takes the first pair (0, 1)
     "lone node takes a joined block": (
-        [(3.0, "b"), (3.0, "a"), (3.0, "b")],
-        {"families": [2], "nodes": []}, [0, 1, 2]),
+        [(3.0, "b"), (3.0, "a"), (3.0, "b")], [2], []),
 }
 
 # leaf weights for ghc, which puts the leaves of one weight in one class,
-# and the runs of each join it makes
+# and the runs of each node-list join it makes
 LEAF_JOINS = {
     "blocks of two joined": (
-        [1.0, TINY, TINY_B, TINY_B, TINY, TINY, TINY],
-        {"families": [], "nodes": [2]}),
+        [1.0, TINY, TINY_B, TINY_B, TINY, TINY, TINY], [2]),
     # the pairs' pair meets leaf 5 at 4 TINY
     "nested join": (
-        [1.0, TINY, TINY_B, TINY, TINY_B, 4.0 * TINY],
-        {"families": [], "nodes": [2, 2]}),
-    "family with node list": (
-        [4.0, 8.0, 2.0, 2.0], {"families": [], "nodes": [2, 2]}),
+        [1.0, TINY, TINY_B, TINY, TINY_B, 4.0 * TINY], [2, 2]),
+    "family with node list": ([4.0, 8.0, 2.0, 2.0], [2, 2]),
     # three pairs: (1, 4), (2, 5) and (3, 6) left over
     "three blocks of two joined": (
-        [1.0, TINY, TINY_B, TINY_C, TINY, TINY_B, TINY_C],
-        {"families": [], "nodes": [3]}),
+        [1.0, TINY, TINY_B, TINY_C, TINY, TINY_B, TINY_C], [3]),
     # classes of two raw weights that scaling makes one
-    "classes scaled to one weight": (
-        [1.0, 3 * SUB, 4 * SUB], {"families": [2], "nodes": []}),
+    "classes scaled to one weight": ([1.0, 3 * SUB, 4 * SUB], [2]),
 }
 
 
@@ -122,6 +115,15 @@ def _type_classes(t, w) -> tuple:
     return (np.array([p for p, _ in keys]),
             CostVector._scaled(tuple(n for _, n in keys), w.den),
             order, starts)
+
+
+def _record_merges(monkeypatch) -> list:
+    """Hook ccghc's class merges: the arguments of each call."""
+    merges: list = []
+    monkeypatch.setattr(CCGHC_MODULE, "merge_classes",
+                        lambda *args: merges.append(args)
+                        or merge_classes(*args))
+    return merges
 
 
 def dyadic_kl(d, weights) -> float:
@@ -271,20 +273,13 @@ class TestAgainstHeapMerge:
     def _check_probes(monkeypatch, t, w, k, S) -> int:
         """Run ccghc with every probe's class merge expanded to leaves and
         checked against heap_ghc on the leaf tilt; return the probes."""
-        merges = []
-
-        def recorded(weights, order, starts):
-            merged = merge_classes(weights, order, starts)
-            merges.append(merged)
-            return merged
-
         tk, wk = kronecker_pmf(t, k), kronecker_cost(w, k)
         with monkeypatch.context() as m:
-            m.setattr(CCGHC_MODULE, "merge_classes", recorded)
+            merges = _record_merges(m)
             res = ccghc(tk, wk, S)
         assert len(merges) == len(res.trace)
-        for merged, probe in zip(merges, res.trace):
-            assert expand_blocks(merged, len(tk)) \
+        for args, probe in zip(merges, res.trace):
+            assert expand_blocks(*args) \
                 == heap_ghc(tilt(tk, wk, probe.lam)).lengths
         return len(merges)
 
@@ -302,13 +297,13 @@ class TestAgainstHeapMerge:
     @staticmethod
     def _class_merge(monkeypatch, t, w, lam) -> tuple:
         """The class merge of the type classes of (t, w) at lam, expanded
-        to leaves, and the runs of each join it made, by kind."""
+        to leaves, and the runs of each node-list join it made."""
         targets, costs, order, starts = _type_classes(t, w)
         weights = tilt(targets, costs, lam).tolist()
         with monkeypatch.context() as m:
             joins = record_joins(m)
-            merged = merge_classes(weights, order, starts)
-        return expand_blocks(merged, len(t)), joins
+            got = expand_blocks(weights, order, starts)
+        return got, joins
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 3.0])
     def test_joined_classes(self, monkeypatch, lam):
@@ -322,21 +317,30 @@ class TestAgainstHeapMerge:
             w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
             got, joined = self._class_merge(monkeypatch, t, w, lam)
             assert got == heap_ghc(tilt(t, w, lam)).lengths
-            joins += len(joined["families"]) + len(joined["nodes"])
+            joins += len(joined)
         assert joins > 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_facade_lambda_zero(self, monkeypatch, k):
-        # the first probe: every type class has the weight 3^-k, and the
-        # k + 1 classes stay one family; no node list is built
+        # the first probe: every type class has the weight 3^-k, so ccghc
+        # lays the k + 1 classes out as one class of the leaves in index
+        # order, which the merge pairs with no join and no node list
         t, w = kronecker_pmf(TARGET, k), kronecker_cost(SLAT_COSTS, k)
         targets, costs, _, _ = _type_classes(t, w)
         assert len(set(tilt(targets, costs, 0.0))) == 1
+        with monkeypatch.context() as m:
+            merges = _record_merges(m)
+            res = ccghc(t, w, k * SHADOWING_BUDGET)
+        assert res.trace[0].lam == 0.0
+        weights, order, starts = merges[0]
+        assert len(weights) == 1
+        assert order == list(range(3 ** k)) and starts == [0, 3 ** k]
         monkeypatch.setattr(GHC_MODULE, "_nodes",
                             lambda run, order: pytest.fail("node list"))
-        got, joined = self._class_merge(monkeypatch, t, w, 0.0)
-        assert got == heap_ghc(tilt(t, w, 0.0)).lengths
-        assert joined == {"families": [k + 1], "nodes": []}
+        joins = record_joins(monkeypatch)
+        assert expand_blocks(weights, order, starts) \
+            == heap_ghc(tilt(t, w, 0.0)).lengths
+        assert joins == []
 
     # the square of (3, 2, 1): leaves 1 and 3 and a merged node with
     # index 2 meet at weight 6, queued as two runs out of index order.
@@ -361,20 +365,19 @@ class TestAgainstHeapMerge:
 
 
 class TestJoins:
-    """Runs that meet at one weight, against heap_ghc: classes of one
-    weight stay one family, and other joins build a node list."""
+    """Runs that meet at one weight, against heap_ghc: merge_classes
+    joins them as a node list, and ccghc lays out classes of one weight
+    as one class before its merge."""
 
     @pytest.mark.parametrize("case", CLASS_JOINS)
     def test_merge_classes(self, monkeypatch, case):
-        leaves, want_joins, sequences = CLASS_JOINS[case]
+        leaves, want_joins, _ = CLASS_JOINS[case]
         classes, order, starts = group_leaves(leaves)
         with monkeypatch.context() as m:
             joins = record_joins(m)
-            merged = merge_classes([v for v, _ in classes], order, starts)
-        assert expand_blocks(merged, len(leaves)) \
-            == heap_ghc([v for v, _ in leaves]).lengths
+            got = expand_blocks([v for v, _ in classes], order, starts)
+        assert got == heap_ghc([v for v, _ in leaves]).lengths
         assert joins == want_joins
-        assert merged[0][len(leaves):] == sequences
 
     @pytest.mark.parametrize("case", LEAF_JOINS)
     def test_ghc(self, monkeypatch, case):
@@ -389,24 +392,23 @@ class TestJoins:
     def test_ccghc(self, monkeypatch, case):
         # each class gets its own cost, so ccghc's type classes are the
         # case's classes, and its first probe, at lambda 0, merges them
-        leaves, want_joins, _ = CLASS_JOINS[case]
+        leaves, _, want_joins = CLASS_JOINS[case]
         tags = sorted({tag for _, tag in leaves})
         t = Pmf(np.array([v for v, _ in leaves]) / sum(v for v, _ in leaves))
         w = CostVector([tags.index(tag) for _, tag in leaves])
         S = (min(w.exact) + as_fraction(float(np.dot(t.probs, w.costs)))) / 2
-        at_zero = {}
+        at_zero = []
 
         def merge(*args):
             merged = merge_classes(*args)
             if not at_zero:
-                at_zero.update((kind, list(runs))
-                               for kind, runs in joins.items())
+                at_zero.append(list(joins))
             return merged
 
         with monkeypatch.context() as m:
             joins = record_joins(m)
             m.setattr(CCGHC_MODULE, "merge_classes", merge)
             got = ccghc(t, w, S)
-        assert at_zero == want_joins
+        assert at_zero == [want_joins]
         assert got.iterations > 0
         assert got == _recomputing_ccghc(t, w, S)

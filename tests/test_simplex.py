@@ -101,6 +101,11 @@ class TestSolveSimplex:
         with pytest.raises(InfeasibleConstraintError):
             solve_simplex(T3, W3, 0.18)  # attained only in the limit
 
+    def test_nan_budget_rejected(self):
+        # NaN fails every comparison, so it read as a slack budget
+        with pytest.raises(ValueError, match="budget must be a number"):
+            solve_simplex(T3, W3, math.nan)
+
     def test_uniform_costs_degenerate(self):
         with pytest.raises(ValueError):
             solve_simplex(T3, CostVector(("0.2", "0.2", "0.2")), 0.2)

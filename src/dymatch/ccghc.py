@@ -22,25 +22,40 @@ budgets sit within 1e-4 of the achieved cost.
 The probes work on type classes, not on leaves. Leaves with equal target
 weight and equal cost tilt to equal weights at every multiplier, so
 ccghc groups them once, into an array of class targets and a CostVector
-of class costs. Each probe tilts that array, one weight per class, and
-runs ghc's merge core, merge_classes, on the weights (the facade's 3^k
-blocks form k+1 classes). When classes tilt to one positive weight (all
-of the facade's at multiplier 0), the probe first lays them out as one
-class over their leaves in index order, so the merge pairs them as one
-run. A probe's Kraft sum is an integer sum over the blocks of the code
-tree, and its exact cost one too: a block's cost numerator is a
-difference of prefix sums of the leaves' cost numerators, taken in the
-layout's order. Its KL is kl_divergence on the expanded probabilities,
-so the trace is what probing the leaves gives. The result is certified
-once on the leaves: ghc, average_cost_exact and kl_divergence recompute
-it at lambda_star, and any disagreement with the class probe raises
-RuntimeError.
+of class costs, and prepares their tilt once (_Tilt). Each probe tilts
+that array, one weight per class, and runs ghc's merge core,
+merge_classes, on the weights (the facade's 3^k blocks form k+1
+classes). When classes tilt to one positive weight (all of the facade's
+at multiplier 0), the probe first lays them out as one class over their
+leaves in index order, so the merge pairs them as one run.
+
+A probe then costs its merge plus a sum over the blocks of the code
+tree. A block (depth, c, pos, d) holds 2^d leaves of class c, each of
+probability 2^-(depth + d), so it adds 2^-depth to the Kraft sum,
+w_c 2^-depth to the cost and -(depth + d + log2 t_c) 2^-depth to the
+KL, with log2 t_c taken once per class. Kraft sum and cost are exact
+integers over 2^top, and feasibility is an integer comparison with the
+budget. The KL is a float sum, so a probe's KL can differ from
+kl_divergence on the expanded probabilities in the last bits (by at
+most 1.5e-15 relative over every probe on the facade at k <= 10 and on
+seeded and tie-heavy random instances). A block over
+classes laid out as one counts its members per class first. The result
+is certified once on the leaves: ghc and average_cost_exact recompute
+the lengths and the exact cost at lambda_star, which must be equal, and
+kl_divergence gives the result's kl, which must agree with the probe's
+within 1e-12 relative; a disagreement raises RuntimeError.
+
+Every probe also bounds the optimum from below: d_lambda minimizes
+kl + lambda * cost over all dyadic pmfs, so kl(d_lambda) +
+lambda * (cost(d_lambda) - S) is at most the KL of every dyadic pmf
+costing at most S (weak duality). The result carries the best such
+bound over its probes as dual_bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, ldexp
+from math import inf, isfinite, ldexp, log2
 
 import numpy as np
 
@@ -50,6 +65,41 @@ from .pmf import (CostVector, DyadicPmf, Number, Pmf, _probs_of,
                   as_fraction, average_cost_exact, kl_divergence)
 
 DEFAULT_EPS = 1e-9
+# how far a probe's KL, summed per class, may be from kl_divergence on the
+# leaves, relative to max(1, |kl|)
+KL_AGREEMENT = 1e-12
+
+
+class _Tilt:
+    """tilt(t, w, .) with t and w checked and masked once, for a solve
+    that tilts at many multipliers: calling it with lam returns
+    tilt(t, w, lam), by the same operations in the same order."""
+
+    __slots__ = ("size", "supported", "targets", "costs", "cheapest")
+
+    def __init__(self, t, w: CostVector):
+        tp = _probs_of(t)
+        if len(tp) != len(w):
+            raise ValueError(f"length mismatch: {len(tp)} vs {len(w)}")
+        # min and max propagate NaN, which fails every comparison
+        lo, hi = tp.min(), tp.max()
+        if not (lo >= 0 and hi < inf):
+            raise ValueError("targets must be finite and non-negative")
+        if not hi > 0:
+            raise ValueError("targets must have a positive entry")
+        self.supported = tp > 0
+        self.size = len(tp)
+        self.targets = tp[self.supported]
+        self.costs = w.costs[self.supported]
+        self.cheapest = float(self.costs.min())
+
+    def __call__(self, lam: float) -> np.ndarray:
+        if not isfinite(lam):
+            raise ValueError(f"multiplier must be finite, got {lam!r}")
+        out = np.zeros(self.size)
+        out[self.supported] = self.targets * np.exp2(lam * self.cheapest
+                                                     - lam * self.costs)
+        return out
 
 
 def tilt(t, w: CostVector, lam: float) -> np.ndarray:
@@ -68,24 +118,21 @@ def tilt(t, w: CostVector, lam: float) -> np.ndarray:
     2^-1100, which is 0 as a float.
 
     Raises:
-        ValueError: t and w differ in length, or lam is NaN or infinite.
+        ValueError: t and w differ in length, t has a NaN, infinite or
+            negative entry or none above 0, or lam is NaN or infinite.
     """
-    tp = _probs_of(t)
-    if len(tp) != len(w):
-        raise ValueError(f"length mismatch: {len(tp)} vs {len(w)}")
-    if not isfinite(lam):
-        raise ValueError(f"multiplier must be finite, got {lam!r}")
-    supported = tp > 0
-    costs = w.costs[supported]
-    shift = lam * float(costs.min())
-    out = np.zeros(len(tp))
-    out[supported] = tp[supported] * np.exp2(shift - lam * costs)
-    return out
+    return _Tilt(t, w)(lam)
 
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One solver probe: the multiplier tried and what it produced."""
+    """One solver probe: the multiplier tried and what it produced.
+
+    cost is the probe's exact cost rounded to a float once, and feasible
+    compares the exact cost with the budget. kl is summed per type class
+    in floats, so it can differ in the last bits from kl_divergence on
+    the probe's expanded pmf.
+    """
 
     lam: float
     cost: float
@@ -99,11 +146,14 @@ class CcGhcResult:
 
     lambda_star is the feasible end of the final bracket, whose ends are
     within eps or adjacent floats; iterations counts bisection probes.
-    d, cost_exact and kl are what the search's probe at lambda_star
-    produced, so cost <= S holds exactly. d minimizes kl + lambda_star *
-    cost over all dyadic pmfs, so it has the smallest KL among dyadic
-    pmfs costing at most cost_exact; when cost_exact < S a feasible pmf
-    with smaller KL may exist.
+    d and cost_exact are what the search's probe at lambda_star
+    produced, so cost <= S holds exactly, and kl is kl_divergence(d, t).
+    d minimizes kl + lambda_star * cost over all dyadic pmfs, so it has
+    the smallest KL among dyadic pmfs costing at most cost_exact; when
+    cost_exact < S a feasible pmf with smaller KL may exist. dual_bound
+    is the largest kl + lambda * (cost - S) over the probes, capped at
+    kl: a lower bound on the KL of every dyadic pmf costing at most S,
+    computed in floats from the trace, so good to its last bits.
     """
 
     d: DyadicPmf
@@ -114,6 +164,7 @@ class CcGhcResult:
     bracket: tuple
     trace: tuple
     cost_exact: Fraction
+    dual_bound: float
 
     def to_dict(self, include_trace: bool = False) -> dict:
         out = {
@@ -125,9 +176,28 @@ class CcGhcResult:
             "bracket": list(self.bracket),
         }
         if include_trace:
+            out["dual_bound"] = self.dual_bound
             out["trace"] = [{"lambda": e.lam, "cost": e.cost, "kl": e.kl,
                              "feasible": e.feasible} for e in self.trace]
         return out
+
+
+def _per_class(blocks, lay, order, starts) -> list:
+    """Blocks over lay, whose classes each hold leaves of several type
+    classes, as blocks of one type class each, for the probe's sums: a
+    block's n members of type class c, at codeword length L, become one
+    block (L - b, c, None, b) per bit b set in n. order and starts are
+    the type classes, as group_leaves gives them."""
+    classes = np.empty(len(order), dtype=np.intp)
+    classes[order] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    classes = classes[lay]
+    out = []
+    for depth, _, pos, d in blocks:
+        counts = np.bincount(classes[pos:pos + (1 << d)]).tolist()
+        for c, n in enumerate(counts):
+            out += [(depth + d - b, c, None, b)
+                    for b in range(n.bit_length()) if n >> b & 1]
+    return out
 
 
 def ccghc(t: Pmf, w: CostVector, S: Number,
@@ -170,37 +240,27 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
     # type classes: leaves with equal target weight and equal cost, which
     # tilt to equal weights at every multiplier
     keys, order, starts = group_leaves(zip(t.probs.tolist(), w.nums))
-    targets = np.array([p for p, _ in keys])
-    costs = CostVector._scaled(tuple(n for _, n in keys), w.den)
+    cnum = [n for _, n in keys]
+    tilted = _Tilt(np.array([p for p, _ in keys]),
+                   CostVector._scaled(tuple(cnum), w.den))
+    # a class at target 0 gets no codeword, so its log2 is never summed
+    logs = [log2(p) if p > 0 else -inf for p, _ in keys]
     cheapest = Fraction(min(n for p, n in keys if p > 0), w.den)
     if S_exact < cheapest:
         raise InfeasibleConstraintError(
             f"budget {S_exact} is below the cheapest supported symbol cost "
             f"{cheapest}")
-
-    # the leaves' cost numerators as Python ints, so that their prefix
-    # sums are exact however large
-    nums = np.array(w.nums, dtype=object)
-
-    def lay_out(order):
-        """Each leaf's place in order, and the prefix sums of the leaves'
-        cost numerators in that order."""
-        order = np.fromiter(order, np.intp, len(t))
-        place = np.empty(len(t), dtype=np.intp)
-        place[order] = np.arange(len(t))
-        return place, [0, *np.cumsum(nums[order]).tolist()]
-
-    classes = (order, starts, *lay_out(order))
-    by_place = np.zeros(len(t))
+    S_num, S_den = S_exact.numerator, S_exact.denominator
     # a block has 2^d <= len(t) leaves, so d < bits
     bits = len(t).bit_length()
     trace = []
 
     def probe(lam: float):
-        """(the class layout, merge_classes' blocks, exact cost, KL) at
-        lam when feasible, else None."""
-        weights = tilt(targets, costs, lam).tolist()
-        lay, at, place, sums = classes
+        """(the class layout, merge_classes' blocks, the exact cost as
+        numerator and denominator, KL) at lam when feasible, else
+        None."""
+        weights = tilted(lam).tolist()
+        lay, at = order, starts
         # fewer distinct positive weights than positive ones: classes
         # of one positive weight are laid out as one class, over their
         # leaves in index order. Classes at weight 0 get no codeword, so
@@ -215,26 +275,27 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
             for members in groups.values():
                 lay += sorted(members)
                 at.append(len(lay))
-            place, sums = lay_out(lay)
         blocks = merge_classes(weights, lay, at)
+        summed = blocks if lay is order else \
+            _per_class(blocks, lay, order, starts)
         # Kraft sum and cost over 2^top, top beyond the longest codeword:
         # a block at depth D holds 2^-D of the probability
         top = blocks[-1][0] + bits
         kraft = cost = 0
-        by_place.fill(0.0)
-        for depth, _, pos, d in blocks:
-            end = pos + (1 << d)
-            kraft += 1 << (top - depth)
-            cost += (sums[end] - sums[pos]) << (top - depth - d)
-            by_place[pos:end] = ldexp(1.0, -depth - d)
+        kl = 0.0
+        for depth, c, _, d in summed:
+            share = 1 << (top - depth)
+            kraft += share
+            cost += cnum[c] * share
+            kl -= ldexp(depth + d + logs[c], -depth)
         if kraft != 1 << top:
             raise ValueError(f"Kraft sum is {Fraction(kraft, 1 << top)}, "
                              "not 1")
-        cost = Fraction(cost, w.den << top)
-        kl = kl_divergence(by_place[place], t)
-        feasible = cost <= S_exact
-        trace.append(Evaluation(lam, float(cost), kl, feasible))
-        return (lay, blocks, cost, kl) if feasible else None
+        den = w.den << top
+        feasible = cost * S_den <= S_num * den
+        # int / int rounds once, as float(Fraction(cost, den)) does
+        trace.append(Evaluation(lam, cost / den, kl, feasible))
+        return (lay, blocks, cost, den, kl) if feasible else None
 
     # found is always the probe at u, the feasible end of the bracket
     lo = u = 0.0
@@ -263,13 +324,20 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
             lo = mid
         mid = 0.5 * (lo + u)
     # certify the class probe at u on the leaves themselves
-    lay, blocks, cost, kl = found
+    lay, blocks, num, den, probe_kl = found
+    cost = Fraction(num, den)
     d = ghc(tilt(t, w, u))
+    kl = kl_divergence(d, t)
     if (d.lengths != tuple(leaf_lengths(blocks, lay, len(t)))
             or average_cost_exact(d, w) != cost
-            or kl_divergence(d, t) != kl):
+            or abs(kl - probe_kl) > KL_AGREEMENT * max(1.0, abs(kl))):
         raise RuntimeError(f"the class merge at lambda {u!r} disagrees "
                            "with ghc on the leaves")
+    # capped at kl, which it equals in exact arithmetic when lambda_star
+    # is 0: the probe's KL, summed per class, can exceed kl by an ulp
+    budget = float(S_exact)
+    bound = min(kl, max(e.kl + e.lam * (e.cost - budget) for e in trace))
     return CcGhcResult(d=d, lambda_star=u, cost=float(cost), kl=kl,
                        iterations=iterations, bracket=(lo, u),
-                       trace=tuple(trace), cost_exact=cost)
+                       trace=tuple(trace), cost_exact=cost,
+                       dual_bound=bound)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccghc import tilt
+from .ccghc import _Tilt, tilt
 from .errors import ConvergenceError, InfeasibleConstraintError
 from .pmf import CostVector, Pmf, average_cost, kl_divergence
 
@@ -61,10 +61,16 @@ def tilted_solution(t: Pmf, w: CostVector, lam: float) -> TiltedSolution:
 def cost_of_lambda(t: Pmf, w: CostVector, lam: float) -> float:
     """f(lam) = w^T p*(lam), strictly decreasing in lam for non-equal costs.
 
-    Takes the dot product on the normalized tilt directly: the bisection
-    calls this at every step and needs no validated Pmf.
+    Takes the dot product on the normalized tilt directly, with no
+    validated Pmf; solve_simplex's bisection does the same at every step
+    from a tilt it prepares once.
     """
-    x = tilt(t, w, lam)
+    return _cost_at(_Tilt(t, w), w, lam)
+
+
+def _cost_at(tilted: _Tilt, w: CostVector, lam: float) -> float:
+    """cost_of_lambda from a prepared tilt of t."""
+    x = tilted(lam)
     return float(np.dot(x / x.sum(), w.costs))
 
 
@@ -94,8 +100,8 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
         raise ValueError(f"budget must be a number, got {E!r}")
     if w.is_uniform:
         raise ValueError("degenerate cost vector: all entries equal")
-    supported = w.costs[t.probs > 0]
-    w_min = float(supported.min())
+    tilted = _Tilt(t, w)
+    w_min = tilted.cheapest
     if E <= w_min:
         raise InfeasibleConstraintError(
             f"budget {E} does not exceed the cheapest supported cost {w_min}")
@@ -104,13 +110,13 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
         return TiltedSolution(t, 0.0, wt, 0.0)
 
     lo, u = 0.0, 1.0
-    while cost_of_lambda(t, w, u) > E:
+    while _cost_at(tilted, w, u) > E:
         lo, u = u, 2.0 * u
         if u > 2.0 ** 128:
             raise ConvergenceError("failed to bracket the multiplier")
     lam = 0.5 * (lo + u)
     while lo < lam < u:
-        fe = cost_of_lambda(t, w, lam)
+        fe = _cost_at(tilted, w, lam)
         if abs(fe - E) <= COST_TOL:
             break
         if fe > E:

@@ -9,6 +9,7 @@ contract is visible at a glance.
 import heapq
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, settings
 from dymatch import (CcGhcResult, CostVector, DyadicPmf, Pmf,
                      as_fraction, average_cost_exact, ghc, kl_divergence,
                      tilt)
-from dymatch.ccghc import Evaluation
+from dymatch.ccghc import KL_AGREEMENT, Evaluation
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 from dymatch.ghc import _as_weights, merge_classes
 
@@ -129,8 +130,10 @@ def heap_ghc(x) -> DyadicPmf:
 
 def _recomputing_ccghc(t, w, S, eps=1e-9):
     # the earlier ccghc: the same bisection, then ghc, the exact cost and
-    # KL computed once more at the feasible end of the bracket
+    # KL computed once more at the feasible end of the bracket. Its probes
+    # take the KL with kl_divergence on the leaves
     S_exact = as_fraction(S)
+    budget = float(S_exact)
     trace = []
 
     def probe(lam):
@@ -144,10 +147,12 @@ def _recomputing_ccghc(t, w, S, eps=1e-9):
     def result(lam, iterations, bracket):
         d = ghc(tilt(t, w, lam))
         cost = average_cost_exact(d, w)
-        return CcGhcResult(d=d, lambda_star=lam, cost=float(cost),
-                           kl=kl_divergence(d, t), iterations=iterations,
-                           bracket=bracket, trace=tuple(trace),
-                           cost_exact=cost)
+        kl = kl_divergence(d, t)
+        bound = max(e.kl + e.lam * (e.cost - budget) for e in trace)
+        return CcGhcResult(d=d, lambda_star=lam, cost=float(cost), kl=kl,
+                           iterations=iterations, bracket=bracket,
+                           trace=tuple(trace), cost_exact=cost,
+                           dual_bound=min(kl, bound))
 
     if probe(0.0):
         return result(0.0, 0, (0.0, 0.0))
@@ -163,6 +168,22 @@ def _recomputing_ccghc(t, w, S, eps=1e-9):
         else:
             lo = mid
     return result(u, iterations, (lo, u))
+
+
+def assert_matches_oracle(got, want):
+    """got equals the oracle result want in every field, the result's kl
+    included, except the probes' KLs and the dual bound taken from them:
+    ccghc sums a probe's KL per type class, the oracle with kl_divergence
+    on the leaves, so those may differ in the last bits. Each must agree
+    to KL_AGREEMENT relative."""
+    def without_kl(res):
+        return replace(res, dual_bound=0.0, trace=tuple(
+            replace(e, kl=0.0) for e in res.trace))
+
+    assert without_kl(got) == without_kl(want)
+    pairs = [(e.kl, f.kl) for e, f in zip(got.trace, want.trace)]
+    for a, b in pairs + [(got.dual_bound, want.dual_bound)]:
+        assert abs(a - b) <= KL_AGREEMENT * max(1.0, abs(b))
 
 
 def expand_blocks(weights, order, starts) -> tuple:

@@ -9,11 +9,12 @@ import pytest
 from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
                      average_cost_exact, as_fraction, brute_force_dyadic,
                      ccghc, ghc, kl_divergence, kronecker_cost,
-                     kronecker_pmf, tilt)
-from dymatch.ghc import group_leaves, merge_classes
+                     kronecker_pmf, solve_simplex, tilt)
+from dymatch.ghc import _kraft_multisets, group_leaves, merge_classes
 from dymatch.pmf import _probs_of
-from conftest import (_recomputing_ccghc, expand_blocks, heap_ghc,
-                      random_costs, random_pmf, record_joins)
+from conftest import (_recomputing_ccghc, assert_matches_oracle,
+                      expand_blocks, heap_ghc, random_costs, random_pmf,
+                      record_joins)
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 
@@ -52,6 +53,17 @@ class TestTilt:
     def test_rejects_non_finite_multiplier(self, lam):
         with pytest.raises(ValueError, match="multiplier must be finite"):
             tilt(T3, W3, lam)
+
+    @pytest.mark.parametrize("t, message", [
+        ([np.nan, 0.5, 0.5], "finite and non-negative"),
+        ([-0.25, 0.75, 0.5], "finite and non-negative"),
+        ([np.inf, 0.5, 0.5], "finite and non-negative"),
+        ([0.0, 0.0, 0.0], "a positive entry")])
+    def test_rejects_bad_targets(self, t, message):
+        # each is refused by name: NaN and negative entries must not tilt
+        # silently to 0, nor an all-zero target fail inside numpy
+        with pytest.raises(ValueError, match=message):
+            tilt(t, W3, 1.0)
 
     def test_cost_nonincreasing_in_lambda(self):
         # the staircase: ghc(tilt(lam)) cost never rises with lam
@@ -139,11 +151,26 @@ class TestCcghc:
         assert "trace" in res.to_dict(include_trace=True)
 
 
-def _unsupported_shift_tilt(t, w, lam):
-    # the earlier tilt, shifted by the cheapest cost of any symbol; on a
-    # fully supported target it must give the very same weights
-    shift = lam * float(w.costs.min())
-    return _probs_of(t) * np.exp2(shift - lam * w.costs)
+def _unsupported_shift_tilt(t, w):
+    # the earlier tilt, shifted by the cheapest cost of any symbol and
+    # prepared as _Tilt is; on a fully supported target it must give the
+    # very same weights
+    def tilted(lam):
+        shift = lam * float(w.costs.min())
+        return _probs_of(t) * np.exp2(shift - lam * w.costs)
+    return tilted
+
+
+def earlier_tilt(t, w, lam):
+    # tilt as it was before it was prepared once per solve: validated and
+    # masked at every call
+    tp = _probs_of(t)
+    supported = tp > 0
+    costs = w.costs[supported]
+    shift = lam * float(costs.min())
+    out = np.zeros(len(tp))
+    out[supported] = tp[supported] * np.exp2(shift - lam * costs)
+    return out
 
 
 def seeded_instances():
@@ -170,7 +197,7 @@ class TestTiltOracle:
     def _both(self, monkeypatch, t, w, S):
         got = ccghc(t, w, S)
         with monkeypatch.context() as m:
-            m.setattr(CCGHC_MODULE, "tilt", _unsupported_shift_tilt)
+            m.setattr(CCGHC_MODULE, "_Tilt", _unsupported_shift_tilt)
             want = ccghc(t, w, S)
         return got, want
 
@@ -185,22 +212,96 @@ class TestTiltOracle:
         assert got == want
 
 
+class TestPreparedTilt:
+    """ccghc prepares one tilt of its class targets per solve, and every
+    probe merges the weights that tilting afresh gave."""
+
+    @staticmethod
+    def _probe_weights(monkeypatch, t, w, S) -> list:
+        """(the weights each probe merged, what earlier_tilt gives on
+        ccghc's class targets at that probe's lambda)."""
+        keys, _, _ = group_leaves(zip(t.probs.tolist(), w.nums))
+        targets = np.array([p for p, _ in keys])
+        costs = CostVector._scaled(tuple(n for _, n in keys), w.den)
+        merged = []
+        with monkeypatch.context() as m:
+            m.setattr(CCGHC_MODULE, "merge_classes",
+                      lambda *a: merged.append(a[0]) or merge_classes(*a))
+            res = ccghc(t, w, S)
+        assert len(merged) == len(res.trace)
+        return [(got, earlier_tilt(targets, costs, e.lam).tolist())
+                for got, e in zip(merged, res.trace)]
+
+    def test_seeded_instances(self, monkeypatch):
+        for t, w, S in seeded_instances():
+            for got, want in self._probe_weights(monkeypatch, t, w, S):
+                assert got == want
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_facade(self, monkeypatch, k):
+        pairs = self._probe_weights(monkeypatch, *facade_instance(k))
+        # at lambda 0 every class has one weight, and the classes are
+        # laid out as one before the merge
+        got, want = pairs[0]
+        assert got == list(dict.fromkeys(want)) == want[:1]
+        for got, want in pairs[1:]:
+            assert got == want
+
+    def test_tilt_is_the_prepared_tilt(self):
+        for t, w, _ in itertools.islice(seeded_instances(), 10):
+            prepared = CCGHC_MODULE._Tilt(t, w)
+            for lam in (0.0, 0.5, 3.0, 40.0):
+                want = earlier_tilt(t, w, lam)
+                assert np.array_equal(prepared(lam), want)
+                assert np.array_equal(tilt(t, w, lam), want)
+
+    def test_one_tilt_per_solve(self, monkeypatch):
+        # one tilt of the class targets, one of the leaves to certify
+        made = []
+
+        class Counted(CCGHC_MODULE._Tilt):
+            def __init__(self, t, w):
+                made.append(len(w))
+                super().__init__(t, w)
+
+        monkeypatch.setattr(CCGHC_MODULE, "_Tilt", Counted)
+        t, w, S = facade_instance(4)
+        res = ccghc(t, w, S)
+        assert len(res.trace) > 30
+        assert made == [5, 81]
+
+    def test_one_kl_divergence_per_solve(self, monkeypatch):
+        # the probes sum their KL per type class, the facade's tied probe
+        # at lambda 0 as well; kl_divergence runs once, on the result
+        calls = []
+        monkeypatch.setattr(CCGHC_MODULE, "kl_divergence",
+                            lambda *a: calls.append(a) or kl_divergence(*a))
+        instances = [*seeded_instances(), *map(facade_instance, range(1, 8))]
+        for t, w, S in instances:
+            calls.clear()
+            res = ccghc(t, w, S)
+            assert len(calls) == 1
+            assert calls[0][0] is res.d
+
+
 class TestRecomputationOracle:
     """The result is the search's own probe at lambda_star, and equals
-    (trace included) a final recomputation of ghc, cost and KL there."""
+    (trace included) a final recomputation of ghc, cost and KL there;
+    each probe's KL, summed per type class, agrees with kl_divergence on
+    the leaves to KL_AGREEMENT relative."""
 
     def test_seeded_instances(self):
         bisected = 0
         for t, w, S in seeded_instances():
             got = ccghc(t, w, S)
-            assert got == _recomputing_ccghc(t, w, S)
+            assert_matches_oracle(got, _recomputing_ccghc(t, w, S))
             bisected += got.iterations > 0
         assert bisected > 50
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_facade(self, k):
         t, w, S = facade_instance(k)
-        assert ccghc(t, w, S) == _recomputing_ccghc(t, w, S)
+        assert_matches_oracle(ccghc(t, w, S), _recomputing_ccghc(t, w, S))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("S", ["0.3", "0.6", "0.9", "1.2"])
@@ -226,7 +327,7 @@ class TestRecomputationOracle:
             joins = record_joins(m)
             m.setattr(CCGHC_MODULE, "merge_classes", merge)
             got = ccghc(t, w, S)
-        assert got == want
+        assert_matches_oracle(got, want)
         assert any(j for j, e in zip(joined, got.trace) if e.lam > 0) \
             == (k > 1)
 
@@ -277,6 +378,13 @@ class TestRecomputationOracle:
         with pytest.raises(RuntimeError, match="disagrees"):
             ccghc(*facade_instance(2))
 
+    def test_kl_disagreement_raises(self, monkeypatch):
+        # the probe's KL, summed per class, must agree with the leaf KL
+        monkeypatch.setattr(CCGHC_MODULE, "kl_divergence",
+                            lambda d, t: kl_divergence(d, t) + 1e-9)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            ccghc(*facade_instance(2))
+
     def test_zero_targets_are_no_tie(self, merges):
         # zeros on symbols of different costs: at k = 2 several type
         # classes have target 0 and tilt to 0 at every probe. No leaf of
@@ -292,7 +400,37 @@ class TestRecomputationOracle:
         for weights, got_order, got_starts in merges["merge_classes"]:
             assert len(weights) == len(keys)
             assert got_order == order and got_starts == starts
-        assert got == _recomputing_ccghc(t, w, "2.8")
+        assert_matches_oracle(got, _recomputing_ccghc(t, w, "2.8"))
+
+
+class TestDualBound:
+    """dual_bound, the best kl + lambda * (cost - S) over the probes,
+    bounds the KL of every dyadic pmf within budget from below."""
+
+    # per-symbol dual bound minus D(S) on the facade (S = 0.2063), to 5
+    # places: the "bound" row of ROADMAP direction 1, reproduced by
+    # max(e.kl + e.lam * (e.cost - k * S) for e in ccghc(...).trace) / k
+    # minus solve_simplex(T3, W3, 0.2063).D on the block-k instance
+    FACADE_ROW = {3: 0.00644, 4: 0.01673, 6: 0.00401, 7: 0.00875,
+                  8: 0.01064, 10: 0.00549}
+
+    def test_at_most_kl(self):
+        for t, w, S in [*seeded_instances(),
+                        *map(facade_instance, range(1, 7))]:
+            res = ccghc(t, w, S)
+            assert res.dual_bound <= res.kl
+
+    @pytest.mark.parametrize("k", sorted(FACADE_ROW))
+    def test_facade_row(self, k):
+        D = solve_simplex(T3, W3, 0.2063).D
+        res = ccghc(*facade_instance(k))
+        assert abs(res.dual_bound / k - D - self.FACADE_ROW[k]) <= 1e-5
+
+    def test_only_in_the_trace_dict(self):
+        res = ccghc(*facade_instance(2))
+        assert "dual_bound" not in res.to_dict()
+        assert res.to_dict(include_trace=True)["dual_bound"] \
+            == res.dual_bound
 
 
 class TestFloatResolution:
@@ -383,3 +521,40 @@ class TestLagrangianOptimality:
             got = objective(res.d, t, w, res.lambda_star)
             best = objective(rival, t, w, res.lambda_star)
             assert got <= best + 1e-10
+
+    def test_dual_bound_below_enumeration(self):
+        # weak duality: no dyadic pmf within budget has KL below the
+        # bound; enumerated here over lengths up to 8, all assignments
+        rng = np.random.default_rng(7)
+        below = 0
+        for _ in range(25):
+            m = int(rng.integers(2, 5))
+            t = random_pmf(rng, m)
+            w = random_costs(rng, m)
+            lo = min(w.exact)
+            hi = sum(f * e for f, e in zip(t, w.exact))
+            S = round(float(lo) + 0.6 * (float(hi) - float(lo)), 4)
+            res = ccghc(t, w, S)
+            best = _best_within_budget(t, w, as_fraction(S), 8)
+            assert res.dual_bound <= best + 1e-12
+            below += best < res.kl - 1e-12
+        # enumeration beats ccghc's own result on some of them
+        assert below > 0
+
+
+def _best_within_budget(t, w, S, max_len) -> float:
+    """Smallest KL over dyadic pmfs with codewords of at most max_len
+    bits and exact cost at most S, by enumeration."""
+    best = float("inf")
+    for n in range(1, len(t) + 1):
+        for multiset in _kraft_multisets(n, max_len):
+            for lengths in set(itertools.permutations(multiset)):
+                for symbols in itertools.combinations(range(len(t)), n):
+                    pairs = list(zip(symbols, lengths))
+                    cost = sum(w.nums[i] << (max_len - l) for i, l in pairs)
+                    if cost * S.denominator \
+                            <= S.numerator * (w.den << max_len):
+                        best = min(best, sum(
+                            2.0 ** -l * (-l - np.log2(t[i]))
+                            for i, l in pairs))
+    return best

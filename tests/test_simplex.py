@@ -1,4 +1,5 @@
 """The relaxed problem: tilted family, tradeoff curve, geometry."""
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,9 @@ from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
                      distance_cost_curve, geometry_identity_residual,
                      kl_divergence, solve_simplex, tilted_pmf)
 from conftest import random_costs, random_pmf
+
+SIMPLEX = importlib.import_module("dymatch.simplex")
+CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 
 T3 = Pmf.uniform(3)
 W3 = CostVector(("0.18", "0.18", "0.31"))
@@ -68,6 +72,64 @@ class TestCostOfLambda:
             for lam in (0.0, *rng.uniform(0.0, 50.0, 5), 1e3):
                 assert cost_of_lambda(t, w, lam) == average_cost(
                     tilted_pmf(t, w, lam), w)
+
+
+def earlier_cost_of_lambda(t, w, lam) -> float:
+    # cost_of_lambda as it was before solve_simplex prepared its tilt
+    # once: the target validated and masked at every step
+    tp = t.probs
+    supported = tp > 0
+    costs = w.costs[supported]
+    x = np.zeros(len(tp))
+    x[supported] = tp[supported] * np.exp2(lam * float(costs.min())
+                                           - lam * costs)
+    return float(np.dot(x / x.sum(), w.costs))
+
+
+class TestPreparedTilt:
+    """solve_simplex prepares one tilt per solve, and every bisection
+    step gets the cost that tilting afresh gave."""
+
+    def test_steps_match_earlier_cost(self, monkeypatch):
+        steps = []
+        cost_at = SIMPLEX._cost_at
+
+        def step(tilted, w, lam):
+            steps.append((lam, cost_at(tilted, w, lam)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(SIMPLEX, "_cost_at", step)
+        for t, costs, S in small_instances(3, 40):
+            w = CostVector(costs)
+            steps.clear()
+            sol = solve_simplex(t, w, float(S))
+            assert sol.lam == 0.0 or len(steps) > 10
+            # cost_of_lambda takes a step of its own, so read a copy
+            for lam, got in list(steps):
+                want = earlier_cost_of_lambda(t, w, lam)
+                assert got == want
+                assert cost_of_lambda(t, w, lam) == want
+
+    def test_one_tilt_per_solve(self, monkeypatch):
+        # one for the bisection, one for the returned tilted pmf
+        made = []
+
+        class Counted(SIMPLEX._Tilt):
+            def __init__(self, t, w):
+                made.append(len(w))
+                super().__init__(t, w)
+
+        monkeypatch.setattr(SIMPLEX, "_Tilt", Counted)
+        monkeypatch.setattr(CCGHC_MODULE, "_Tilt", Counted)
+        sol = solve_simplex(T3, W3, 0.2063)
+        assert sol.lam > 0
+        assert made == [3, 3]
+
+    @pytest.mark.parametrize("t", [[np.nan, 0.5, 0.5], [-0.5, 1.0, 0.5],
+                                   [0.0, 0.0, 0.0]])
+    def test_cost_of_lambda_rejects_bad_targets(self, t):
+        with pytest.raises(ValueError, match="targets must"):
+            cost_of_lambda(np.array(t), W3, 1.0)
 
 
 class TestSolveSimplex:

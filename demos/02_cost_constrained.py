@@ -21,7 +21,11 @@ def report(budget):
 
 print(f"costs {SLAT_COSTS.costs} per symbol, slot width {SLOT_WIDTH}\n")
 
-# Slack budget: the unconstrained match (2, 1, 2) is already affordable.
+# A loose budget that still binds: ghc of the uniform target, (2, 2, 1),
+# gives the wide slat the short codeword and costs 0.245, so multiplier 0
+# is infeasible. Any positive multiplier breaks that tie toward the cheap
+# slats, (2, 1, 2) at cost 0.2125, so lambda* is the smallest multiplier
+# the bisection resolves and prints as 0.000000.
 report("0.2233")
 
 # The facade budget: 33% shadowing. Single symbols offer nothing between

@@ -23,12 +23,12 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .ccghc import DEFAULT_EPS, CcGhcResult, ccghc, tilt
+from .ccghc import CcGhcResult, _Tilt, ccghc, tilt
 from .ghc import ghc
-from .pmf import (CostVector, Number, Pmf, as_fraction, average_cost_exact,
-                  check_size_cap, kl_divergence, kronecker_cost,
-                  kronecker_pmf)
-from .simplex import solve_simplex, tilted_solution
+from .pmf import (CostVector, Number, Pmf, as_float, as_fraction,
+                  average_cost_exact, check_size_cap, kl_divergence,
+                  kronecker_cost, kronecker_pmf)
+from .simplex import _solution, solve_simplex
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,24 @@ class ChordConstruction:
     xi: float
 
 
-def convergence_sweep(t: Pmf, w: CostVector, S: Number, k_max: int,
-                      eps: float = DEFAULT_EPS) -> tuple:
+def convergence_sweep(t: Pmf, w: CostVector, S: Number, k_max: int) -> tuple:
     """Run the constrained search at blocklengths 1..k_max.
 
     Returns one ConvergenceRecord per k. Every record is feasible
     (cost_per_symbol <= S, compared exactly); per-symbol quantities are
     computed from exact block costs with a single final float conversion.
-    A k_max past SIZE_CAP is refused before any block is solved.
+    A k_max past SIZE_CAP or an S past the float range is refused first.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     check_size_cap(max(len(t), len(w)), k_max)
     S_exact = as_fraction(S)
-    d_opt = solve_simplex(t, w, float(S_exact)).D
+    d_opt = solve_simplex(t, w, as_float(S_exact, "budget")).D
     records = []
     for k in range(1, k_max + 1):
         tk = kronecker_pmf(t, k)
         vk = kronecker_cost(w, k)
-        res = ccghc(tk, vk, k * S_exact, eps)
+        res = ccghc(tk, vk, k * S_exact)
         records.append(_record(k, res, d_opt))
     return tuple(records)
 
@@ -108,8 +107,8 @@ def chord(t: Pmf, w: CostVector, E_star: float,
         raise ValueError("epsilon must be positive")
     sol = solve_simplex(t, w, E_star)
     target = sol.D + epsilon
-    supported = w.costs[t.probs > 0]
-    w_min = float(supported.min())
+    tilted = _Tilt(t, w)
+    w_min = tilted.cheapest
     edge = solve_simplex(t, w, w_min + 1e-9 * (sol.E - w_min))
     if edge.D <= target:
         raise ValueError(
@@ -119,12 +118,13 @@ def chord(t: Pmf, w: CostVector, E_star: float,
     lo, hi = sol.lam, edge.lam
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if tilted_solution(t, w, mid).D > target:
+        x = tilted(mid)
+        if kl_divergence(x / x.sum(), t) > target:
             hi = mid
         else:
             lo = mid
         mid = 0.5 * (lo + hi)
-    prime = tilted_solution(t, w, mid)
+    prime = _solution(tilted, t, w, mid)
     xi = (prime.D - sol.D) / (sol.E - prime.E)
     return ChordConstruction(E_prime=prime.E,
                              E_mid=0.5 * (prime.E + sol.E),
@@ -144,11 +144,12 @@ def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
     (within 1e-12 for float noise).
     """
     S_exact = as_fraction(S)
-    ch = chord(t, w, float(S_exact), epsilon)
+    E = as_float(S_exact, "budget")
+    ch = chord(t, w, E, epsilon)
     tk = kronecker_pmf(t, k)
     vk = kronecker_cost(w, k)
     res = ccghc(tk, vk, k * S_exact)
-    record = _record(k, res, solve_simplex(t, w, float(S_exact)).D)
+    record = _record(k, res, solve_simplex(t, w, E).D)
     ok = res.cost_exact <= k * S_exact
     d_xi = ghc(tilt(tk, vk, ch.xi))
     if average_cost_exact(d_xi, vk) <= k * S_exact:

@@ -64,7 +64,8 @@ from .ghc import ghc, group_leaves, leaf_lengths, merge_classes
 from .pmf import (CostVector, DyadicPmf, Number, Pmf, _probs_of,
                   as_fraction, average_cost_exact, kl_divergence)
 
-DEFAULT_EPS = 1e-9
+# relative bracket width at which ccghc's bisection stops (see ccghc)
+WIDTH = 2.0 ** -32
 # how far a probe's KL, summed per class, may be from kl_divergence on the
 # leaves, relative to max(1, |kl|)
 KL_AGREEMENT = 1e-12
@@ -144,8 +145,8 @@ class Evaluation:
 class CcGhcResult:
     """Converged output of the constrained search.
 
-    lambda_star is the feasible end of the final bracket, whose ends are
-    within eps or adjacent floats; iterations counts bisection probes.
+    lambda_star is the feasible end of the final bracket, narrowed by the
+    rule ccghc states; iterations counts bisection probes.
     d and cost_exact are what the search's probe at lambda_star
     produced, so cost <= S holds exactly, and kl is kl_divergence(d, t).
     d minimizes kl + lambda_star * cost over all dyadic pmfs, so it has
@@ -200,8 +201,7 @@ def _per_class(blocks, lay, order, starts) -> list:
     return out
 
 
-def ccghc(t: Pmf, w: CostVector, S: Number,
-          eps: float = DEFAULT_EPS) -> CcGhcResult:
+def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     """Feasible dyadic pmf close in KL to t under w^T d <= S.
 
     The returned d is ghc of the tilt at lambda_star: it minimizes
@@ -215,16 +215,15 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
         t: target pmf.
         w: costs, one per symbol.
         S: budget; decimal strings and Fractions are honored exactly.
-        eps: bracket width at which the bisection stops, unless its ends
-            become adjacent floats first; must be positive (NaN is
-            refused). It is a width in multiplier units, the inverse of
-            the cost unit: costs scaled by c give the same tilts at
-            lambda / c, so the same eps resolves lambda_star c times
-            more coarsely relative to its size.
 
     Returns:
         CcGhcResult. If ghc(t) is already feasible the search is skipped
-        and lambda_star is 0.
+        and lambda_star is 0. Otherwise the bracket (lo, u) is halved
+        while u - lo >= WIDTH * max(u, 1 / spread), spread the largest
+        supported cost minus the smallest, and a float lies inside it.
+        It resolves lambda * spread to WIDTH, relative above 1 and
+        absolute below, so costs and S scaled by 2^j give exactly
+        lambda_star 2^-j and the same d.
 
     Raises:
         InfeasibleConstraintError: S below the cheapest supported symbol,
@@ -234,8 +233,6 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     S_exact = as_fraction(S)
     # type classes: leaves with equal target weight and equal cost, which
     # tilt to equal weights at every multiplier
@@ -245,7 +242,8 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
                    CostVector._scaled(tuple(cnum), w.den))
     # a class at target 0 gets no codeword, so its log2 is never summed
     logs = [log2(p) if p > 0 else -inf for p, _ in keys]
-    cheapest = Fraction(min(n for p, n in keys if p > 0), w.den)
+    supported = [n for p, n in keys if p > 0]
+    cheapest = Fraction(min(supported), w.den)
     if S_exact < cheapest:
         raise InfeasibleConstraintError(
             f"budget {S_exact} is below the cheapest supported symbol cost "
@@ -312,10 +310,11 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
                 raise ConvergenceError(
                     "failed to bracket a feasible multiplier")
             found = probe(u)
-    # lo == u == 0 skips it when lambda = 0 is feasible; it also ends
-    # when no float lies strictly inside the bracket
+    # lo == u == 0 skips it when lambda = 0 is feasible; else spread > 0,
+    # as equal supported costs fit at 0 or raised above
+    spread = (max(supported) - min(supported)) / w.den
     mid = 0.5 * (lo + u)
-    while u - lo >= eps and lo < mid < u:
+    while lo < mid < u and u - lo >= WIDTH * max(u, 1 / spread):
         iterations += 1
         at_mid = probe(mid)
         if at_mid:
@@ -333,10 +332,10 @@ def ccghc(t: Pmf, w: CostVector, S: Number,
             or abs(kl - probe_kl) > KL_AGREEMENT * max(1.0, abs(kl))):
         raise RuntimeError(f"the class merge at lambda {u!r} disagrees "
                            "with ghc on the leaves")
-    # capped at kl, which it equals in exact arithmetic when lambda_star
-    # is 0: the probe's KL, summed per class, can exceed kl by an ulp
-    budget = float(S_exact)
-    bound = min(kl, max(e.kl + e.lam * (e.cost - budget) for e in trace))
+    # capped at kl, which a probe's KL, summed per class, can exceed by an
+    # ulp; at lambda_star 0 it is kl, and S may be past the float range
+    bound = kl if u == 0 else min(kl, max(
+        e.kl + e.lam * (e.cost - float(S_exact)) for e in trace))
     return CcGhcResult(d=d, lambda_star=u, cost=float(cost), kl=kl,
                        iterations=iterations, bracket=(lo, u),
                        trace=tuple(trace), cost_exact=cost,

@@ -18,14 +18,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import convergence_sweep, sweep_csv
-from .ccghc import DEFAULT_EPS, ccghc
+from .ccghc import ccghc
 from .codes import SymbolAlphabet, canonical_code, format_code_table, \
     load_code, parse_code_table, prefix_violations, verify_kraft
 from .errors import CodeFormatError, DymatchError, InfeasibleConstraintError, \
     SizeCapError
 from .facade import SLAT_ALPHABET
 from .pipeline import decompress_bits, run_facade, unmatch_symbols
-from .pmf import CostVector, Pmf, as_fraction, kronecker_cost, kronecker_pmf
+from .pmf import CostVector, Pmf, as_float, as_fraction, kronecker_cost, \
+    kronecker_pmf
 from .simplex import curve_csv, distance_cost_curve, solve_simplex
 
 
@@ -40,12 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _load_pmf(path) -> Pmf:
-    return Pmf.from_json(Path(path).read_text(encoding="utf-8"))
-
-
 def _load_costs(path) -> CostVector:
     return CostVector.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+def _instance(args) -> tuple:
+    """The --target and --costs files as a Pmf and a CostVector."""
+    t = Pmf.from_json(Path(args.target).read_text(encoding="utf-8"))
+    return t, _load_costs(args.costs)
 
 
 def _parse_alphabet(spec: Optional[str], m: int) -> tuple:
@@ -75,14 +78,14 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_match(args) -> int:
-    t = _load_pmf(args.target)
-    w = _load_costs(args.costs)
+    t, w = _instance(args)
     if len(t) != len(w):
         raise ValueError(f"target has {len(t)} symbols, costs {len(w)}")
     k = args.block
     if k < 1:
         raise ValueError("block length must be positive")
     S = as_fraction(args.budget)
+    as_float(S, "budget")  # refused by name, as optimal and sweep do
     tokens = _parse_alphabet(args.alphabet, len(t))
     if k > 1 and any(len(tok) != 1 for tok in tokens):
         raise ValueError("block extension needs single-character symbols")
@@ -90,7 +93,7 @@ def _cmd_match(args) -> int:
     target = kronecker_pmf(t, k)
     costs = kronecker_cost(w, k)
     blocks = tuple("".join(p) for p in itertools.product(tokens, repeat=k))
-    res = ccghc(target, costs, k * S, eps=args.eps)
+    res = ccghc(target, costs, k * S)
     # a result that has no code table, or a table the file format cannot
     # spell, fails before any output
     table = format_code_table(canonical_code(res.d, SymbolAlphabet(blocks)))
@@ -105,9 +108,8 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    t = _load_pmf(args.target)
-    w = _load_costs(args.costs)
-    sol = solve_simplex(t, w, float(as_fraction(args.budget)))
+    t, w = _instance(args)
+    sol = solve_simplex(t, w, as_float(as_fraction(args.budget), "budget"))
     print(json.dumps({
         "p_star": [float(p) for p in sol.p_star],
         "lambda": sol.lam,
@@ -118,18 +120,15 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    t = _load_pmf(args.target)
-    w = _load_costs(args.costs)
+    t, w = _instance(args)
     points = distance_cost_curve(t, w, _parse_grid(args.grid))
     sys.stdout.write(curve_csv(points))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    t = _load_pmf(args.target)
-    w = _load_costs(args.costs)
-    records = convergence_sweep(t, w, as_fraction(args.budget), args.kmax,
-                                eps=args.eps)
+    t, w = _instance(args)
+    records = convergence_sweep(t, w, as_fraction(args.budget), args.kmax)
     sys.stdout.write(sweep_csv(records))
     return 0
 
@@ -186,11 +185,6 @@ def _cmd_verify(args) -> int:
     return 0 if not violations and kraft <= 1 else 3
 
 
-EPS_HELP = ("bisection bracket width on the multiplier, whose unit is the "
-            "inverse of the cost unit: rescaling the costs by c rescales "
-            "lambda by 1/c but not eps")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dymatch",
                      description="Cost-constrained dyadic pmf matching and "
@@ -210,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     instance(p)
     p.add_argument("--block", type=int, default=1,
                    help="blocklength for the Kronecker extension")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help=EPS_HELP)
     p.add_argument("--alphabet", default=None,
                    help="symbol tokens, comma separated or one char each")
     p.set_defaults(func=_cmd_match)
@@ -229,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     instance(p)
     p.add_argument("--kmax", type=int, required=True,
                    help="largest blocklength")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help=EPS_HELP)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("encode", help="text to symbol stream")

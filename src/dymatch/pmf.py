@@ -49,6 +49,15 @@ def as_fraction(x: Number) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
+def as_float(x: Fraction, name: str) -> float:
+    """float(x), or a ValueError naming x as name past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        x = (Decimal(x.numerator) / x.denominator).normalize()
+        raise ValueError(f"{name} {x:.6g} is past the float range") from None
+
+
 def _readonly(values: Iterable[float]) -> np.ndarray:
     """A read-only float copy of values, at least 1-D; a caller's array
     is copied, never frozen or shared."""
@@ -211,6 +220,7 @@ class CostVector:
     def _set(self, nums: tuple, den: int) -> None:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+        as_float(Fraction(max(nums), den), "cost")  # named past float range
         # int / int is correctly rounded, so each entry equals float(exact)
         object.__setattr__(self, "costs", _readonly([n / den for n in nums]))
 

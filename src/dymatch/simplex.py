@@ -51,10 +51,11 @@ def tilted_pmf(t: Pmf, w: CostVector, lam: float) -> Pmf:
     return Pmf(x / x.sum())
 
 
-def tilted_solution(t: Pmf, w: CostVector, lam: float) -> TiltedSolution:
-    """The relaxed optimum at multiplier lam: the normalized tilt, its
-    cost E and its distance D."""
-    p = tilted_pmf(t, w, lam)
+def _solution(tilted, t: Pmf, w: CostVector, lam: float) -> TiltedSolution:
+    """The relaxed optimum at multiplier lam from a prepared tilt of t:
+    the normalized tilt, its cost E and its distance D."""
+    x = tilted(lam)
+    p = Pmf(x / x.sum())
     return TiltedSolution(p, lam, average_cost(p, w), kl_divergence(p, t))
 
 
@@ -94,13 +95,11 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
         InfeasibleConstraintError: E at or below the cheapest supported cost.
         ConvergenceError: f(lam) is still above E at lam = 2^128.
     """
-    if len(t) != len(w):
-        raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
+    tilted = _Tilt(t, w)
     if isnan(E):
         raise ValueError(f"budget must be a number, got {E!r}")
     if w.is_uniform:
         raise ValueError("degenerate cost vector: all entries equal")
-    tilted = _Tilt(t, w)
     w_min = tilted.cheapest
     if E <= w_min:
         raise InfeasibleConstraintError(
@@ -124,7 +123,7 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
         else:
             u = lam
         lam = 0.5 * (lo + u)
-    return tilted_solution(t, w, lam)
+    return _solution(tilted, t, w, lam)
 
 
 def distance_cost_curve(t: Pmf, w: CostVector,

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, settings
 from dymatch import (CcGhcResult, CostVector, DyadicPmf, Pmf,
                      as_fraction, average_cost_exact, ghc, kl_divergence,
                      tilt)
-from dymatch.ccghc import KL_AGREEMENT, Evaluation
+from dymatch.ccghc import KL_AGREEMENT, WIDTH, Evaluation
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 from dymatch.ghc import _as_weights, merge_classes
 
@@ -128,10 +128,11 @@ def heap_ghc(x) -> DyadicPmf:
     return DyadicPmf(tuple(lengths))
 
 
-def _recomputing_ccghc(t, w, S, eps=1e-9):
-    # the earlier ccghc: the same bisection, then ghc, the exact cost and
-    # KL computed once more at the feasible end of the bracket. Its probes
-    # take the KL with kl_divergence on the leaves
+def _recomputing_ccghc(t, w, S):
+    # the earlier ccghc: the same bisection, which stops below WIDTH
+    # times max(u, 1 / spread), then ghc, the exact cost and KL computed
+    # once more at the feasible end of the bracket. Its probes take the
+    # KL with kl_divergence on the leaves
     S_exact = as_fraction(S)
     budget = float(S_exact)
     trace = []
@@ -159,8 +160,10 @@ def _recomputing_ccghc(t, w, S, eps=1e-9):
     lo, u = 0.0, 1.0
     while not probe(u):
         lo, u = u, 2.0 * u
+    costs = [c for c, p in zip(w.exact, t.probs) if p > 0]
+    spread = float(max(costs) - min(costs))
     iterations = 0
-    while u - lo >= eps:
+    while u - lo >= WIDTH * max(u, 1 / spread):
         iterations += 1
         mid = 0.5 * (lo + u)
         if probe(mid):

@@ -206,6 +206,17 @@ class TestAchievability:
         ok, rec = achievability_check(facade_t, facade_w, S, 0.01, 6)
         assert ok
 
+    def test_budget_past_float_range(self, facade_t, facade_w):
+        # named in a ValueError, as the sweep names it, not raised as an
+        # OverflowError
+        for run in (lambda: achievability_check(facade_t, facade_w, "1e400",
+                                                0.01, 2),
+                    lambda: convergence_sweep(facade_t, facade_w, "1e400",
+                                              2)):
+            with pytest.raises(ValueError,
+                               match=r"budget 1e\+400 is past the float"):
+                run()
+
     def test_trivially_feasible_instance(self):
         # ghc(t) alone satisfies the budget
         t = Pmf(np.array([0.5, 0.25, 0.25]))

@@ -102,20 +102,17 @@ class TestCcghc:
         assert average_cost_exact(res.d, W3) == res.cost_exact
 
     def test_bracket_contract(self):
-        res = ccghc(T3, W3, "0.21", eps=1e-9)
+        # the bisection stops at the first bracket narrower than 2^-32
+        # times max(u, 1 / spread), spread = 0.31 - 0.18
+        res = ccghc(T3, W3, "0.21")
         lo, u = res.bracket
-        assert u - lo < 1e-9
+        scale = max(u, 1 / 0.13)
+        assert 2.0 ** -33 * scale <= u - lo < 2.0 ** -32 * scale
         assert res.lambda_star == u
-        assert res.iterations <= 200
 
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleConstraintError):
             ccghc(T3, W3, "0.17")
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan")])
-    def test_eps_must_be_positive(self, eps):
-        with pytest.raises(ValueError, match="eps must be positive"):
-            ccghc(T3, W3, "0.2063", eps=eps)
 
     def test_infeasibility_threshold_is_supported_min(self):
         # symbol 0 is cheapest but has zero target mass: its cost does
@@ -432,22 +429,55 @@ class TestDualBound:
         assert res.to_dict(include_trace=True)["dual_bound"] \
             == res.dual_bound
 
+    def test_budget_past_float_range(self):
+        # lambda = 0 is feasible, and its bound is kl: S needs no float
+        res = ccghc(T3, W3, "1e400")
+        assert res.lambda_star == 0.0
+        assert res.dual_bound == res.kl
+
 
 class TestFloatResolution:
-    """The bisection ends when no float lies strictly inside the bracket,
-    so an eps below the float spacing of lambda_star converges instead of
+    """The bisection also ends when no float lies strictly inside the
+    bracket, so with the width constant at 0 it converges instead of
     probing the same midpoint again."""
 
-    def test_eps_below_float_spacing(self):
+    def test_eps_below_float_spacing(self, monkeypatch):
         t, w, S = facade_instance(3)
-        res = ccghc(t, w, S, eps=1e-20)
+        default = ccghc(t, w, S)
+        monkeypatch.setattr(CCGHC_MODULE, "WIDTH", 0.0)
+        res = ccghc(t, w, S)
         lo, u = res.bracket
         assert u == np.nextafter(lo, np.inf)
         assert res.lambda_star == u
-        assert res.d.lengths == ccghc(t, w, S).d.lengths
+        assert res.d.lengths == default.d.lengths
         lams = [e.lam for e in res.trace]
         assert len(set(lams)) == len(lams)
         assert res.iterations == len(lams) - 6  # probes 0, 1, 2, 4, 8, 16
+
+
+class TestUnitFree:
+    """The stopping rule has no unit: scaling costs and budget scales the
+    multiplier and nothing else."""
+
+    @staticmethod
+    def _scaled(k, c):
+        w = CostVector([x * c for x in W3.exact])
+        return (kronecker_pmf(T3, k), kronecker_cost(w, k),
+                k * as_fraction("0.2063") * c)
+
+    @pytest.mark.parametrize("j", [-20, -3, 5, 30])
+    def test_power_of_two_scaling_is_exact(self, j):
+        res = ccghc(*self._scaled(3, Fraction(2) ** j))
+        assert res.d.lengths == ccghc(*facade_instance(3)).d.lengths
+        assert res.lambda_star * 2.0 ** j == 9.230769231915474
+
+    @pytest.mark.parametrize("j", range(2, 9))
+    def test_decimal_scaling_keeps_relative_width(self, j):
+        # the bracket is as narrow relative to lambda_star in every unit
+        res = ccghc(*self._scaled(3, 10 ** j))
+        lo, u = res.bracket
+        assert res.d.lengths == ccghc(*facade_instance(3)).d.lengths
+        assert (u - lo) / u < 2.0 ** -32
 
 
 class TestUnsupportedCheapSymbol:

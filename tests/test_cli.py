@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 from importlib import resources
 
@@ -15,13 +14,15 @@ from dymatch.facade import matcher_code
 PHRASE = "shannon the fu"
 
 # sha256 of `match --block k --alphabet lrm` stdout on the facade, taken
-# for k <= 8 before ghc merged runs of equal weight and for k = 9 and 10
-# before ccghc probed type classes: a changed length or codeword shows
-# here
+# for 4 <= k <= 8 before ghc merged runs of equal weight, for k = 9 and 10
+# before ccghc probed type classes, and for k <= 3 when its bisection
+# began to stop at a width relative to the multiplier (lambda_star, the
+# iteration count and the bracket's upper end moved there): a changed
+# length or codeword shows here
 MATCH_SHA256 = {
-    1: "6c09094e7e394f47aaa408435b27d1cdbfb7b7675b5c54efd4d3acf615077bbb",
-    2: "6b57c698d9efb05e4f399259689305e3ae7bac87b72022833c31aacac5c3fb64",
-    3: "76a85e35092ae8b9f2174e59832f64d4bab52e63ba6f32b5d324ff6cc50d1f3b",
+    1: "a13572a14dbe8c90c7513dd11e44115af2acfdf1706bbdf809fb4b81f453c105",
+    2: "909c2a380a8078fdc46bcb7baec874ae4992caa4906d4634b7e436542e780f72",
+    3: "31660c7ee8c1deb2cadc01b104df8bb12921554725fa72213e03707610ffae6b",
     4: "0e7ee6692468d64478d5312b817862325d3604855caae12c1e8fc7e3ca4f7983",
     5: "a61248aecd9e53509193948ee343b16617d1b2cf373d776408b6858da119d2b2",
     6: "1a59939e3d51d6c0f31f43b11d1c31e6c3a7acde9aec38bdfe5a7ba8285a4767",
@@ -135,12 +136,15 @@ class TestMatch:
         assert len(err) < 100
 
     def test_nan_eps_exits_3(self, files, capsys):
-        code, out, err = run(["match", "--target", files["target"],
-                              "--costs", files["costs"], "--budget", "0.2063",
-                              "--eps", "nan"], capsys)
-        assert code == 3
-        assert out == ""
-        assert "eps must be positive" in err
+        # the bisection's stopping rule has no parameter, so there is no
+        # --eps flag to take any value
+        for eps in ("nan", "1e-9"):
+            code, out, err = run(["match", "--target", files["target"],
+                                  "--costs", files["costs"], "--budget",
+                                  "0.2063", "--eps", eps], capsys)
+            assert code == 3
+            assert out == ""
+            assert "unrecognized arguments: --eps" in err
 
     def test_infinite_cost_exits_3(self, files, tmp_path, capsys):
         costs = tmp_path / "costs.json"
@@ -164,18 +168,6 @@ class TestMatch:
         assert code == 3
         assert out == ""
         assert "empty codeword" in err and "all its mass on 'a'" in err
-
-    def test_eps_below_float_spacing_exits_0(self, files, capsys):
-        argv = ["match", "--target", files["target"], "--costs",
-                files["costs"], "--budget", "0.2063", "--block", "3"]
-        code, out, _ = run(argv + ["--eps", "1e-20"], capsys)
-        assert code == 0
-        payload = json.loads(out.split("\n\n", 1)[0])
-        lo, u = payload["bracket"]
-        assert u == np.nextafter(lo, np.inf)
-        _, default_out, _ = run(argv, capsys)
-        default = json.loads(default_out.split("\n\n", 1)[0])
-        assert payload["lengths"] == default["lengths"]
 
     def test_space_token_in_alphabet_exits_3(self, files, capsys):
         # "_" spells space in a code table, so a literal "_" symbol would
@@ -290,6 +282,14 @@ class TestSweep:
         assert code == 4
         assert out == ""
         assert "3^15 entries exceeds cap" in err
+
+    def test_eps_flag_exits_3(self, files, capsys):
+        code, out, err = run(["sweep", "--target", files["target"],
+                              "--costs", files["costs"], "--budget", "0.2063",
+                              "--kmax", "3", "--eps", "1e-9"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "unrecognized arguments: --eps" in err
 
 
 class TestEncodeDecode:
@@ -442,6 +442,25 @@ class TestUsageErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and f"entry 1 is {entry}," in err
+
+    @pytest.mark.parametrize("command, budget, name", [
+        ("match", "1e400", "budget"), ("optimal", "1e400", "budget"),
+        ("sweep", "1e400", "budget"), ("match", "0.2063", "cost")])
+    def test_past_float_range_exits_3(self, files, tmp_path, capsys,
+                                      command, budget, name):
+        # a budget or a cost past the float range is named in one error
+        # line, not raised as an OverflowError
+        costs = files["costs"]
+        if name == "cost":
+            costs = tmp_path / "costs.json"
+            costs.write_text('["0.18", "1e400", "0.31"]')
+        argv = [command, "--target", files["target"], "--costs", str(costs),
+                "--budget", budget]
+        code, out, err = run(argv + ["--kmax", "2"] * (command == "sweep"),
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {name} 1e+400 is past the float range\n"
 
     def test_missing_file_exits_3(self, files, capsys):
         code, _, _ = run(["match", "--target", "/nonexistent.json",

@@ -33,7 +33,7 @@ back = decompress_bits(unmatch_symbols(res.symbols, mat, res.bit_count), src)
 assert back == TEXT
 print("\ndecoded text matches the input")
 
-# Fitting a fixed wall: pad with zero bits up to the full slat count.
+# Fitting a fixed wall: the message repeats, cut at the full slat count.
 wall = run_facade(TEXT, src, mat, SLAT_COSTS, slat_budget=SLAT_COUNT)
 print(f"\nfitted to the {SLAT_COUNT}-slat wall: {len(wall.symbols)} slats, "
       f"average width {wall.stats.effective_cost:.5f} m")

@@ -228,8 +228,9 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     Raises:
         InfeasibleConstraintError: S below the cheapest supported symbol,
             or equal costs everywhere that exceed S.
-        ConvergenceError: no feasible multiplier up to 2^100 (the
-            bisection has no iteration limit).
+        ConvergenceError: no feasible multiplier lambda with
+            lambda * spread up to 2^100 (the bisection has no iteration
+            limit).
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
@@ -299,20 +300,18 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     lo = u = 0.0
     iterations = 0
     found = probe(0.0)
-    # equal costs everywhere need no special branch: any dyadic pmf then
-    # costs exactly that value, so the budget check above already raised
+    # spread > 0 past this probe, as equal supported costs fit at 0 or
+    # raised above; lo == u == 0 skips the bisection when it is 0
+    spread = (max(supported) - min(supported)) / w.den
     if not found:
         u = 1.0
         found = probe(u)
         while not found:
             lo, u = u, 2.0 * u
-            if u > 2.0 ** 100:
+            if u * spread > 2.0 ** 100:
                 raise ConvergenceError(
                     "failed to bracket a feasible multiplier")
             found = probe(u)
-    # lo == u == 0 skips it when lambda = 0 is feasible; else spread > 0,
-    # as equal supported costs fit at 0 or raised above
-    spread = (max(supported) - min(supported)) / w.den
     mid = 0.5 * (lo + u)
     while lo < mid < u and u - lo >= WIDTH * max(u, 1 / spread):
         iterations += 1

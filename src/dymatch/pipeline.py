@@ -42,9 +42,9 @@ class FrequencyStats:
 class EncodeResult:
     """Matched symbol stream plus the bookkeeping needed to invert it.
 
-    bit_count is the length of the compressed stream before padding.
-    symbols is a whole number of matcher blocks, except when a slat
-    budget forced a mid-block truncation.
+    bit_count is the compressed stream's length and pad_bits the zeros
+    that complete its last codeword. symbols is a whole number of matcher
+    blocks, except when a slat budget cut it mid-block.
     """
 
     symbols: str
@@ -149,7 +149,7 @@ def unmatch_symbols(symbols: str, matcher: PrefixCode, bit_count: int) -> str:
     """Inverse of match_bits: blocks back to bits, truncated to bit_count.
 
     A trailing partial block, such as the end of a wall that run_facade
-    filled to its slat budget, is ignored when the whole blocks before it
+    repeated to its slat budget, is ignored when the whole blocks before it
     already carry bit_count bits; otherwise it is an error.
     """
     k = _block_length(matcher)
@@ -214,36 +214,31 @@ def run_facade(text: str, source_code: PrefixCode, matcher: PrefixCode,
                alphabet: Optional[SymbolAlphabet] = None) -> EncodeResult:
     """Full pipeline: compress, match, fit to a slat budget, measure.
 
-    With a budget, the stream is truncated to exactly slat_budget symbols
-    (a warning reports how much of the text survives) or grown to it by
-    feeding zero bits through the matcher, which repeats the block of its
-    all-zero codeword (llm for the shipped matcher) and cuts the last
-    repeat at the budget. The fill ignores the cost budget: a mostly
-    filled wall costs what that block costs, so "shannon the fu" on 4264
-    slats averages 0.22314 against the shipped 0.2063. Without a budget,
-    the natural stream is returned. pad_bits counts every zero bit
-    appended, both the codeword completion and the budget fill.
+    With a budget N, the natural stream is repeated ceil(N / len) times
+    and cut at N symbols: a longer stream is cut (a warning reports how
+    much of the text survives), a shorter one repeats the message, so the
+    wall costs about what the message does. An empty message has nothing
+    to repeat and raises ValueError. Without a budget, the natural stream
+    is returned. pad_bits counts the zeros completing the last codeword.
     """
     bits = compress_text(text, source_code)
     enc = match_bits(bits, matcher)
-    symbols, pad = enc.symbols, enc.pad_bits
+    symbols = enc.symbols
     if slat_budget is not None:
         if slat_budget < 1:
             raise ValueError("slat budget must be positive")
+        if not symbols:
+            raise ValueError("an empty message has nothing to repeat "
+                             "across a slat budget")
         if len(symbols) > slat_budget:
-            kept = symbols[:slat_budget]
-            consumed = _chars_consumed(kept, matcher, source_code, bits)
+            consumed = _chars_consumed(symbols[:slat_budget], matcher,
+                                       source_code, bits)
             warnings.warn(
                 f"slat budget {slat_budget} truncates the stream: "
                 f"{consumed} of {len(text)} text characters are displayed")
-            symbols = kept
-        elif len(symbols) < slat_budget:
-            zero = next(s for s, b in matcher.entries if "1" not in b)
-            repeats = -(-(slat_budget - len(symbols)) // len(zero))
-            symbols = (symbols + zero * repeats)[:slat_budget]
-            pad += repeats * len(matcher.bits_for(zero))
+        symbols = (symbols * -(-slat_budget // len(symbols)))[:slat_budget]
     stats = None
     if symbols:
         stats = facade_stats(symbols, w, alphabet, bits=bits or None)
-    return EncodeResult(symbols=symbols, bit_count=len(bits), pad_bits=pad,
-                        stats=stats)
+    return EncodeResult(symbols=symbols, bit_count=len(bits),
+                        pad_bits=enc.pad_bits, stats=stats)

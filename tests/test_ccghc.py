@@ -465,7 +465,7 @@ class TestUnitFree:
         return (kronecker_pmf(T3, k), kronecker_cost(w, k),
                 k * as_fraction("0.2063") * c)
 
-    @pytest.mark.parametrize("j", [-20, -3, 5, 30])
+    @pytest.mark.parametrize("j", [-120, -100, -20, -3, 5, 30])
     def test_power_of_two_scaling_is_exact(self, j):
         res = ccghc(*self._scaled(3, Fraction(2) ** j))
         assert res.d.lengths == ccghc(*facade_instance(3)).d.lengths

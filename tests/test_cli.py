@@ -318,6 +318,18 @@ class TestEncodeDecode:
         assert len(out.strip()) == 60
         assert json.loads(err)["symbols"] == 60
 
+    def test_empty_text_with_budget_exits_3(self, files, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n")
+        code, out, err = run(["encode", "--text", str(empty),
+                              "--source-code", files["source"],
+                              "--matcher", files["matcher"],
+                              "--costs", files["costs"],
+                              "--slats", "60"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "nothing to repeat" in err
+
     def test_round_trip(self, files, tmp_path, capsys):
         _, out, err = run(["encode", "--text", files["text"],
                            "--source-code", files["source"],

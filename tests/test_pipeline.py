@@ -1,4 +1,7 @@
 """End-to-end text/bits/symbols pipeline."""
+import random
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,7 +110,7 @@ class TestUnmatchSymbols:
             unmatch_symbols("ll", MAT, 4)
 
     def test_partial_block_after_the_bits_ignored(self):
-        # lll carries 0010; a trailing ll cut from the fill adds no bits
+        # lll carries 0010; a trailing ll cut from a repeat adds no bits
         assert unmatch_symbols("lllll", MAT, 4) == "0010"
         with pytest.raises(CodeFormatError):
             unmatch_symbols("lllll", MAT, 5)
@@ -276,11 +279,38 @@ class TestRunFacade:
         assert res.bit_count == 57
         assert res.stats is not None
 
-    def test_budget_extends_with_zero_bits(self):
+    def test_budget_above_natural_length_keeps_the_message_first(self):
         res = run_facade(PHRASE, SRC, MAT, SLAT_COSTS, slat_budget=60)
         assert len(res.symbols) == 60
         assert res.symbols.startswith(
             run_facade(PHRASE, SRC, MAT, SLAT_COSTS).symbols)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_fit_rule_below_at_and_above(self, seed):
+        # the wall is the natural stream repeated and cut at the budget,
+        # whether the budget is below, at or above its length
+        rng = random.Random(seed)
+        chars = [s for s, _ in SRC.entries]
+        text = "".join(rng.choices(chars, k=rng.randint(1, 40)))
+        natural = run_facade(text, SRC, MAT, SLAT_COSTS)
+        n = len(natural.symbols)
+        for budget in sorted({1, max(1, n - 1), n, n + 1, 2 * n + 2,
+                              rng.randint(1, 5 * n)}):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = run_facade(text, SRC, MAT, SLAT_COSTS,
+                                 slat_budget=budget)
+            assert res.symbols == \
+                (natural.symbols * -(-budget // n))[:budget]
+            assert res.pad_bits == natural.pad_bits
+            assert res.bit_count == natural.bit_count
+            assert len(caught) == (n > budget)
+
+    def test_readme_wall_within_budget(self):
+        # the repeated message costs what the message does, within S
+        res = run_facade(PHRASE, SRC, MAT, SLAT_COSTS, slat_budget=4264)
+        assert res.stats.effective_cost <= 0.2063
+        assert res.stats.effective_cost == pytest.approx(0.20335, abs=5e-6)
 
     def test_budget_truncates_with_warning(self):
         with pytest.warns(UserWarning, match="truncates"):
@@ -320,6 +350,10 @@ class TestRunFacade:
     def test_empty_text_no_budget(self):
         res = run_facade("", SRC, MAT, SLAT_COSTS)
         assert res.symbols == "" and res.stats is None
+
+    def test_empty_text_with_budget_raises(self):
+        with pytest.raises(ValueError, match="nothing to repeat"):
+            run_facade("", SRC, MAT, SLAT_COSTS, slat_budget=60)
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):

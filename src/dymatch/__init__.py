@@ -28,9 +28,8 @@ from .pipeline import (EncodeResult, FrequencyStats, compress_text,
 from .pmf import (SIZE_CAP, CostVector, DyadicPmf, Pmf, as_fraction,
                   average_cost, average_cost_exact, kl_divergence,
                   kronecker_cost, kronecker_pmf)
-from .simplex import (TiltedSolution, cost_of_lambda, curve_csv,
-                      distance_cost_curve, geometry_identity_residual,
-                      solve_simplex, tilted_pmf)
+from .simplex import (TiltedSolution, curve_csv, distance_cost_curve,
+                      geometry_identity_residual, solve_simplex, tilted_pmf)
 
 __version__ = "0.1.0"
 
@@ -42,8 +41,8 @@ __all__ = [
     "SizeCapError", "SymbolAlphabet", "TiltedSolution",
     "achievability_check", "as_fraction", "average_cost",
     "average_cost_exact", "brute_force_dyadic", "canonical_code", "ccghc",
-    "chord", "compress_text", "convergence_sweep", "cost_of_lambda",
-    "curve_csv", "decompress_bits", "distance_cost_curve", "facade_stats",
+    "chord", "compress_text", "convergence_sweep", "curve_csv",
+    "decompress_bits", "distance_cost_curve", "facade_stats",
     "geometry_identity_residual", "ghc", "kl_divergence", "kronecker_cost",
     "kronecker_pmf", "load_code", "match_bits", "parse_code_table",
     "run_facade", "save_code", "solve_simplex", "sweep_csv", "tilt",

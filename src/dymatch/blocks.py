@@ -22,13 +22,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from math import log
 
 from .ccghc import CcGhcResult, _Tilt, ccghc, tilt
 from .ghc import ghc
 from .pmf import (CostVector, Number, Pmf, as_float, as_fraction,
                   average_cost_exact, check_size_cap, kl_divergence,
                   kronecker_cost, kronecker_pmf)
-from .simplex import _solution, solve_simplex
+from .simplex import _search, _solution, solve_simplex
 
 
 @dataclass(frozen=True)
@@ -93,20 +94,23 @@ def chord(t: Pmf, w: CostVector, E_star: float,
 
     E' lies on the decreasing branch of D left of E*. Along the tilt
     family D rises and E falls as the multiplier grows, so E' is found by
-    one bisection on the multiplier, from lam(E*) up to the multiplier of
-    a budget just above the cheapest supported cost, until the bracket
-    cannot shrink in floats. xi is computed from the achieved curve
-    points, so strict convexity keeps it above the tangent slope lam(E*).
+    the simplex module's search for the multiplier where D reaches
+    D(E*) + epsilon, Newton steps on D from lam(E*) kept below the
+    multiplier of a budget just above the cheapest supported cost. xi is
+    computed from the achieved curve points, so strict convexity keeps
+    it above the tangent slope lam(E*).
 
     Raises:
-        ValueError: epsilon not positive (NaN included), or so large that
-            D never reaches D(E*) + epsilon above the cheapest supported
-            cost; E_star NaN.
+        ValueError: epsilon not positive (NaN included), too small to
+            change D(E*) in floats, or so large that D never reaches
+            D(E*) + epsilon above the cheapest supported cost; E_star NaN.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     sol = solve_simplex(t, w, E_star)
     target = sol.D + epsilon
+    if target == sol.D:
+        raise ValueError(f"epsilon {epsilon} is lost in D(E*) = {sol.D}")
     tilted = _Tilt(t, w)
     w_min = tilted.cheapest
     edge = solve_simplex(t, w, w_min + 1e-9 * (sol.E - w_min))
@@ -114,17 +118,12 @@ def chord(t: Pmf, w: CostVector, E_star: float,
         raise ValueError(
             f"epsilon {epsilon} exceeds the distance range available above "
             f"the cheapest cost {w_min}")
-    # D(lo) <= target < D(hi)
-    lo, hi = sol.lam, edge.lam
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        x = tilted(mid)
-        if kl_divergence(x / x.sum(), t) > target:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    prime = _solution(tilted, t, w, mid)
+    # D rises with lam at rate lam ln 2 times the variance of the costs
+    lam = _search(tilted, w,
+                  lambda p, gap, var, lam: (kl_divergence(p, t),
+                                            lam * log(2) * var),
+                  target, sol.lam, edge.lam)
+    prime = _solution(tilted, t, w, lam)
     xi = (prime.D - sol.D) / (sol.E - prime.E)
     return ChordConstruction(E_prime=prime.E,
                              E_mid=0.5 * (prime.E + sol.E),

@@ -9,15 +9,18 @@ lines up with the 2^(-lam w) tilt used on the dyadic side. (The same
 family is often written with e^(-lam w); that multiplier is this one
 times ln 2.)
 
-The cost function f(lam) = w^T p*(lam) is strictly decreasing whenever
-the costs are not all equal, so a bisection inverts it.
+The cost E(lam) = w^T p*(lam) is strictly decreasing whenever the
+costs are not all equal, with slope -ln 2 Var(w) under p*(lam), and the
+distance D(lam) = kl(p*(lam)||t) increasing with slope lam ln 2 Var(w).
+One search (_search) inverts either: Newton steps kept inside a bracket
+on the multiplier, run until they no longer move it in floats.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from math import isnan
+from math import inf, isnan, log, nan
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +28,6 @@ import numpy as np
 from .ccghc import _Tilt, tilt
 from .errors import ConvergenceError, InfeasibleConstraintError
 from .pmf import CostVector, Pmf, average_cost, kl_divergence
-
-COST_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,20 +60,47 @@ def _solution(tilted, t: Pmf, w: CostVector, lam: float) -> TiltedSolution:
     return TiltedSolution(p, lam, average_cost(p, w), kl_divergence(p, t))
 
 
-def cost_of_lambda(t: Pmf, w: CostVector, lam: float) -> float:
-    """f(lam) = w^T p*(lam), strictly decreasing in lam for non-equal costs.
+def _search(tilted: _Tilt, w: CostVector, rising, target: float,
+            lam: float, u: float = inf) -> float:
+    """The multiplier at which rising, a quantity of the normalized tilt
+    that grows with the multiplier, reaches target, searched from lam,
+    the lower end of the bracket (lo, u).
 
-    Takes the dot product on the normalized tilt directly, with no
-    validated Pmf; solve_simplex's bisection does the same at every step
-    from a tilt it prepares once.
+    rising(p, gap, var, lam) gives the quantity and its slope in lam from
+    the normalized tilt p at lam, the excess gap of its cost over the
+    cheapest supported cost, and the variance var of the costs under p.
+    Each step is a Newton step unless it leaves the bracket; then it
+    halves the bracket, or, while u is unknown, goes to 2 max(lam,
+    1 / spread), which also caps a Newton step (spread is the largest
+    supported cost minus the smallest). The search stops when a step no
+    longer moves lam or no float lies strictly inside the bracket, and
+    returns the last multiplier tried. No step depends on the cost unit:
+    with the costs scaled by 2^j, and a cost target with them, every
+    multiplier tried is exactly 2^-j times the unscaled one.
+
+    Raises:
+        ConvergenceError: a step passes lam * spread = 2^100.
     """
-    return _cost_at(_Tilt(t, w), w, lam)
-
-
-def _cost_at(tilted: _Tilt, w: CostVector, lam: float) -> float:
-    """cost_of_lambda from a prepared tilt of t."""
-    x = tilted(lam)
-    return float(np.dot(x / x.sum(), w.costs))
+    over = w.costs - tilted.cheapest
+    spread = float(tilted.costs.max()) - tilted.cheapest
+    lo = lam
+    while True:
+        x = tilted(lam)
+        p = x / x.sum()
+        gap = float(np.dot(p, over))
+        value, slope = rising(p, gap, float(np.dot(p, (over - gap) ** 2)),
+                              lam)
+        lo, u = (lam, u) if value < target else (lo, lam)
+        step = lam + (target - value) / slope if slope > 0 else nan
+        hi = u if u < inf else 2.0 * max(lam, 1 / spread)
+        if step != lam and not lo < step < hi:
+            step = 0.5 * (lo + u) if u < inf else hi
+        # lam is lo or u, so this also ends a step that does not move it
+        if not lo < step < u:
+            return lam
+        if step * spread > 2.0 ** 100:
+            raise ConvergenceError("failed to bracket the multiplier")
+        lam = step
 
 
 def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
@@ -86,14 +114,18 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
 
     Returns:
         TiltedSolution. For E >= w^T t the constraint is slack and the
-        target itself is returned with lam = 0; otherwise E is within
-        COST_TOL of the budget, or as close as floats allow where
-        COST_TOL is finer than their spacing (costs in the thousands).
+        target itself is returned with lam = 0. Otherwise lam is found by
+        Newton steps on the tilt's cost, from 0, until they no longer
+        move it in floats (see _search). The cost is taken as its excess
+        over the cheapest supported cost, so lam stays accurate however
+        close E is to that cost, and E is met to the last bits in any
+        cost unit.
 
     Raises:
         ValueError: E is NaN, or t and w differ in length.
         InfeasibleConstraintError: E at or below the cheapest supported cost.
-        ConvergenceError: f(lam) is still above E at lam = 2^128.
+        ConvergenceError: the search passes lam * spread = 2^100 (see
+            _search).
     """
     tilted = _Tilt(t, w)
     if isnan(E):
@@ -107,22 +139,9 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
     wt = average_cost(t, w)
     if E >= wt:
         return TiltedSolution(t, 0.0, wt, 0.0)
-
-    lo, u = 0.0, 1.0
-    while _cost_at(tilted, w, u) > E:
-        lo, u = u, 2.0 * u
-        if u > 2.0 ** 128:
-            raise ConvergenceError("failed to bracket the multiplier")
-    lam = 0.5 * (lo + u)
-    while lo < lam < u:
-        fe = _cost_at(tilted, w, lam)
-        if abs(fe - E) <= COST_TOL:
-            break
-        if fe > E:
-            lo = lam
-        else:
-            u = lam
-        lam = 0.5 * (lo + u)
+    # the cost's excess falls with lam at rate ln 2 times the variance
+    lam = _search(tilted, w, lambda p, gap, var, lam: (-gap, log(2) * var),
+                  w_min - E, 0.0)
     return _solution(tilted, t, w, lam)
 
 

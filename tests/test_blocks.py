@@ -103,6 +103,11 @@ class TestChord:
         with pytest.raises(ValueError):
             chord(facade_t, facade_w, 0.2063, 0.6)
 
+    def test_epsilon_lost_in_d(self, facade_t, facade_w):
+        # D(0.2063) + 1e-19 == D(0.2063), so the chord has one point
+        with pytest.raises(ValueError, match="is lost in"):
+            chord(facade_t, facade_w, 0.2063, 1e-19)
+
     def test_nan_rejected(self, facade_t, facade_w):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             chord(facade_t, facade_w, 0.2063, math.nan)
@@ -142,7 +147,7 @@ def _nested_chord(t, w, E_star, epsilon):
 
 
 class TestChordOracle:
-    """chord's one bisection on the multiplier lands where the earlier
+    """chord's search on the multiplier lands where the earlier
     bisection on E, nested around solve_simplex, did."""
 
     @staticmethod

@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
-                     average_cost, cost_of_lambda, curve_csv,
-                     distance_cost_curve, geometry_identity_residual,
-                     kl_divergence, solve_simplex, tilted_pmf)
+from dymatch import (ConvergenceError, CostVector,
+                     InfeasibleConstraintError, Pmf, average_cost, chord,
+                     curve_csv, distance_cost_curve,
+                     geometry_identity_residual, kl_divergence,
+                     solve_simplex, tilted_pmf)
 from conftest import random_costs, random_pmf
 
 SIMPLEX = importlib.import_module("dymatch.simplex")
@@ -44,7 +45,14 @@ class TestTiltedPmf:
         assert np.isfinite(p.probs).all()
 
 
+def cost_of_lambda(t, w, lam) -> float:
+    """The cost of the normalized tilt at multiplier lam."""
+    return average_cost(tilted_pmf(t, w, lam), w)
+
+
 class TestCostOfLambda:
+    """The tilt's cost f(lam), which solve_simplex inverts."""
+
     def test_zero_gives_mean_cost(self):
         assert cost_of_lambda(T3, W3, 0.0) == pytest.approx(WT3, abs=1e-15)
 
@@ -57,8 +65,9 @@ class TestCostOfLambda:
         assert cost_of_lambda(T3, W3, 1e3) == pytest.approx(0.18, abs=1e-9)
 
     def test_equals_cost_of_tilted_pmf(self):
-        # the bisection's shortcut takes the same dot product as building
-        # the Pmf and asking for its average cost, bit for bit
+        # the tilted Pmf's average cost is the dot product the earlier
+        # cost_of_lambda took on a target validated and masked afresh,
+        # bit for bit, zero targets included
         rng = np.random.default_rng(5)
         for _ in range(60):
             m = int(rng.integers(2, 9))
@@ -70,48 +79,56 @@ class TestCostOfLambda:
                     continue
                 t = Pmf(probs / probs.sum())
             for lam in (0.0, *rng.uniform(0.0, 50.0, 5), 1e3):
-                assert cost_of_lambda(t, w, lam) == average_cost(
-                    tilted_pmf(t, w, lam), w)
+                assert cost_of_lambda(t, w, lam) == earlier_cost_of_lambda(
+                    t, w, lam)
 
 
-def earlier_cost_of_lambda(t, w, lam) -> float:
-    # cost_of_lambda as it was before solve_simplex prepared its tilt
-    # once: the target validated and masked at every step
+def earlier_tilt(t, w, lam):
+    # the tilt as it was before solve_simplex prepared it once: the
+    # target validated and masked at every step
     tp = t.probs
     supported = tp > 0
     costs = w.costs[supported]
     x = np.zeros(len(tp))
     x[supported] = tp[supported] * np.exp2(lam * float(costs.min())
                                            - lam * costs)
+    return x
+
+
+def earlier_cost_of_lambda(t, w, lam) -> float:
+    # the public cost_of_lambda as it was before it was removed
+    x = earlier_tilt(t, w, lam)
     return float(np.dot(x / x.sum(), w.costs))
 
 
 class TestPreparedTilt:
-    """solve_simplex prepares one tilt per solve, and every bisection
-    step gets the cost that tilting afresh gave."""
+    """solve_simplex prepares one tilt per solve, and every step of its
+    search gets the tilt, and so the cost, that tilting afresh gave."""
 
     def test_steps_match_earlier_cost(self, monkeypatch):
         steps = []
-        cost_at = SIMPLEX._cost_at
 
-        def step(tilted, w, lam):
-            steps.append((lam, cost_at(tilted, w, lam)))
-            return steps[-1][1]
+        class Recorded(SIMPLEX._Tilt):
+            def __call__(self, lam):
+                steps.append((lam, super().__call__(lam)))
+                return steps[-1][1]
 
-        monkeypatch.setattr(SIMPLEX, "_cost_at", step)
+        monkeypatch.setattr(SIMPLEX, "_Tilt", Recorded)
         for t, costs, S in small_instances(3, 40):
             w = CostVector(costs)
             steps.clear()
             sol = solve_simplex(t, w, float(S))
-            assert sol.lam == 0.0 or len(steps) > 10
-            # cost_of_lambda takes a step of its own, so read a copy
-            for lam, got in list(steps):
-                want = earlier_cost_of_lambda(t, w, lam)
-                assert got == want
-                assert cost_of_lambda(t, w, lam) == want
+            # the last tilt builds the returned solution
+            assert sol.lam == 0.0 and not steps or 1 <= len(steps) - 1 <= 20
+            for lam, x in steps:
+                p = x / x.sum()
+                want = earlier_tilt(t, w, lam)
+                assert np.array_equal(p, want / want.sum())
+                assert float(np.dot(p, w.costs)) == earlier_cost_of_lambda(
+                    t, w, lam)
 
     def test_one_tilt_per_solve(self, monkeypatch):
-        # the bisection's tilt also gives the returned tilted pmf
+        # the search's tilt also gives the returned tilted pmf
         made = []
 
         class Counted(SIMPLEX._Tilt):
@@ -129,7 +146,7 @@ class TestPreparedTilt:
                                    [0.0, 0.0, 0.0]])
     def test_cost_of_lambda_rejects_bad_targets(self, t):
         with pytest.raises(ValueError, match="targets must"):
-            cost_of_lambda(np.array(t), W3, 1.0)
+            average_cost(tilted_pmf(np.array(t), W3, 1.0), W3)
 
 
 class TestSolveSimplex:
@@ -179,6 +196,26 @@ class TestSolveSimplex:
                 for i in range(3)]
         assert max(vals) - min(vals) < 1e-10
 
+    @pytest.mark.parametrize("E", [
+        np.nextafter(0.18, 1.0),
+        *(0.18 + float(g) for g in np.geomspace(1e-12, 0.0433, 25))])
+    def test_closed_form_on_the_facade(self, E):
+        # uniform t and costs (0.18, 0.18, 0.31): p* puts r / (2 + r) on
+        # the dear symbol, r = 2^(-0.13 lam), so E = 0.18 + 0.13 r / (2 + r)
+        want = math.log2((0.31 - E) / (2 * E - 0.36)) / 0.13
+        sol = solve_simplex(T3, W3, E)
+        assert sol.lam == pytest.approx(want, rel=1e-9)
+        assert abs(sol.E - E) <= 1e-15 * E
+
+    def test_newton_step_capped_while_unbracketed(self):
+        # at lam = 0 the cost's variance is about 1e-300, so the first
+        # Newton step would land near 7e299; the doubling caps it, and
+        # p* = (1/2, 1/2) at lam = log2((1 - 1e-300) / 1e-300)
+        t = Pmf(np.array([1e-300, 1.0]))
+        sol = solve_simplex(t, CostVector(("0", "1")), 0.5)
+        assert sol.lam == pytest.approx(math.log2(1e300), rel=1e-12)
+        assert sol.E == pytest.approx(0.5, rel=1e-13)
+
     def test_agrees_with_generic_convex_solver(self):
         cp = pytest.importorskip("cvxpy")
         rng = np.random.default_rng(11)
@@ -222,11 +259,72 @@ def small_instances(seed, n):
     return out
 
 
+def earlier_solve_simplex(t, w, E):
+    # solve_simplex as it was before its search took Newton steps: a
+    # bisection that stopped once the cost was within 1e-12 of E, a
+    # tolerance in cost units, or the bracket could not shrink; slack and
+    # infeasible budgets left out
+    lo, u = 0.0, 1.0
+    while earlier_cost_of_lambda(t, w, u) > E:
+        lo, u = u, 2.0 * u
+    lam = 0.5 * (lo + u)
+    while lo < lam < u:
+        fe = earlier_cost_of_lambda(t, w, lam)
+        if abs(fe - E) <= 1e-12:
+            break
+        if fe > E:
+            lo = lam
+        else:
+            u = lam
+        lam = 0.5 * (lo + u)
+    p = tilted_pmf(t, w, lam)
+    return lam, average_cost(p, w), kl_divergence(p, t)
+
+
+class TestEarlierSolver:
+    def test_agrees_with_the_bisection(self):
+        constrained = 0
+        for t, costs, S in small_instances(3, 200):
+            w = CostVector(costs)
+            sol = solve_simplex(t, w, float(S))
+            if sol.lam == 0.0:
+                assert float(S) >= average_cost(t, w)
+                continue
+            constrained += 1
+            lam, E, D = earlier_solve_simplex(t, w, float(S))
+            assert sol.lam == pytest.approx(lam, rel=1e-8)
+            # the bisection stopped up to 1e-12 in cost off the budget,
+            # which moves D by up to lam * 1e-12 along the curve, so its
+            # D is carried along the tangent to the cost reached now
+            assert abs(sol.D - (D - lam * (sol.E - E))) <= 1e-12
+        assert constrained > 150
+
+
+class TestSearchCeiling:
+    @pytest.mark.parametrize("j", [-100, 0, 100])
+    def test_gives_up_at_a_unit_free_ceiling(self, j):
+        # a quantity that never reaches its target doubles the multiplier
+        # from 1 / spread until lam * spread passes 2^100, in any unit
+        made = []
+
+        class Counted(SIMPLEX._Tilt):
+            def __call__(self, lam):
+                made.append(lam)
+                return super().__call__(lam)
+
+        w = CostVector([c * Fraction(2) ** j for c in W3.exact])
+        with pytest.raises(ConvergenceError, match="failed to bracket"):
+            SIMPLEX._search(Counted(T3, w), w,
+                            lambda p, gap, var, lam: (-1.0, 0.0), 0.0, 0.0)
+        spread = 0.13 * 2.0 ** j
+        # lam = 0, then lam * spread = 2, 4, ..., 2^100
+        assert len(made) == 101
+        assert made[-1] * spread == pytest.approx(2.0 ** 100, rel=1e-12)
+
+
 class TestUnitInvariance:
     """Rescaling the costs (and the budget) by 10^j rescales E by 10^j and
-    lam by 10^-j and leaves D alone. With costs in the thousands COST_TOL
-    is finer than the float spacing of E, so success must not hinge on
-    meeting it."""
+    lam by 10^-j and leaves D alone."""
 
     def test_scaled_costs(self):
         for t, w, S in small_instances(7, 60):
@@ -238,6 +336,21 @@ class TestUnitInvariance:
                 assert abs(sol.D - base.D) <= 1e-9
                 assert sol.lam * s == pytest.approx(base.lam, rel=1e-7)
                 assert sol.E / s == pytest.approx(base.E, rel=1e-11)
+
+    @pytest.mark.parametrize("j", [-130, -100, -30, -3, 5, 30])
+    def test_power_of_two_scaling_is_exact(self, j):
+        # every step of the search scales exactly with a power of two
+        scale = Fraction(2) ** j
+        w = CostVector([c * scale for c in W3.exact])
+        E = float(Fraction("0.2063") * scale)
+        base, sol = solve_simplex(T3, W3, 0.2063), solve_simplex(T3, w, E)
+        assert sol.lam * 2.0 ** j == base.lam
+        assert sol.E / 2.0 ** j == base.E
+        assert sol.D == base.D
+        assert abs(sol.E - E) <= 1e-15 * E
+        ch, base_ch = chord(T3, w, E, 0.01), chord(T3, W3, 0.2063, 0.01)
+        assert ch.xi * 2.0 ** j == base_ch.xi
+        assert ch.E_prime / 2.0 ** j == base_ch.E_prime
 
 
 class TestDistanceCostCurve:

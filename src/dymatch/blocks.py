@@ -97,13 +97,15 @@ def chord(t: Pmf, w: CostVector, E_star: float,
     the simplex module's search for the multiplier where D reaches
     D(E*) + epsilon, Newton steps on D from lam(E*) kept below the
     multiplier of a budget just above the cheapest supported cost. xi is
-    computed from the achieved curve points, so strict convexity keeps
-    it above the tangent slope lam(E*).
+    computed from the achieved curve points, so strict convexity puts it
+    strictly between the tangent slopes lam(E*) and lam(E').
 
     Raises:
         ValueError: epsilon not positive (NaN included), too small to
-            change D(E*) in floats, or so large that D never reaches
-            D(E*) + epsilon above the cheapest supported cost; E_star NaN.
+            change D(E*) in floats or to give a xi between the tangent
+            slopes (the differences it divides are then a few ulps), or
+            so large that D never reaches D(E*) + epsilon above the
+            cheapest supported cost; E_star NaN.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -125,6 +127,11 @@ def chord(t: Pmf, w: CostVector, E_star: float,
                   target, sol.lam, edge.lam)
     prime = _solution(tilted, t, w, lam)
     xi = (prime.D - sol.D) / (sol.E - prime.E)
+    # strict convexity puts the chord slope between the tangent slopes
+    if not sol.lam < xi < prime.lam:
+        raise ValueError(f"epsilon {epsilon} is too small to resolve the "
+                         f"chord: xi = {xi} lies outside the tangent "
+                         f"slopes ({sol.lam}, {prime.lam})")
     return ChordConstruction(E_prime=prime.E,
                              E_mid=0.5 * (prime.E + sol.E),
                              xi=xi)

@@ -25,9 +25,13 @@ ccghc groups them once, into an array of class targets and a CostVector
 of class costs, and prepares their tilt once (_Tilt). Each probe tilts
 that array, one weight per class, and runs ghc's merge core,
 merge_classes, on the weights (the facade's 3^k blocks form k+1
-classes). When classes tilt to one positive weight (all of the facade's
-at multiplier 0), the probe first lays them out as one class over their
-leaves in index order, so the merge pairs them as one run.
+classes). At multiplier 0 the tilt is the target, so classes of one
+positive target tie there (all of the facade's do): once per solve,
+before the first probe, ccghc lays each such group out as one class over
+its leaves in index order, and the probe at 0 merges that layout, which
+the merge pairs as one run. At every multiplier above 0 the probes merge
+the type classes as grouped; a tie there takes the merge's tie path,
+which sends a class back to the heap a block at a time.
 
 A probe then costs its merge plus a sum over the blocks of the code
 tree. A block (depth, c, pos, d) holds 2^d leaves of class c, each of
@@ -254,26 +258,29 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     bits = len(t).bit_length()
     trace = []
 
-    def probe(lam: float):
+    # at multiplier 0 the tilt is the target, so classes of one positive
+    # target tie there. The probe at 0 merges them laid out as one class,
+    # each target's leaves in index order, which the merge pairs as one
+    # run and not a block at a time. Classes at target 0 get no codeword,
+    # so their ties call for no layout.
+    layout = None
+    positive = [p for p, _ in keys if p > 0]
+    if len(set(positive)) < len(positive):
+        groups: dict = {}
+        for c, (p, _) in enumerate(keys):
+            groups.setdefault(p, []).extend(order[starts[c]:starts[c + 1]])
+        lay, at = [], [0]
+        for members in groups.values():
+            lay += sorted(members)
+            at.append(len(lay))
+        layout = (list(groups), lay, at)
+
+    def probe(lam: float, laid_out=None):
         """(the class layout, merge_classes' blocks, the exact cost as
         numerator and denominator, KL) at lam when feasible, else
-        None."""
-        weights = tilted(lam).tolist()
-        lay, at = order, starts
-        # fewer distinct positive weights than positive ones: classes
-        # of one positive weight are laid out as one class, over their
-        # leaves in index order. Classes at weight 0 get no codeword, so
-        # their ties (zero targets) call for no layout, which would cost
-        # work per leaf at every probe.
-        if (len(set(weights)) - (0.0 in weights)
-                < len(weights) - weights.count(0.0)):
-            groups: dict = {}
-            for c, v in enumerate(weights):
-                groups.setdefault(v, []).extend(order[starts[c]:starts[c + 1]])
-            weights, lay, at = list(groups), [], [0]
-            for members in groups.values():
-                lay += sorted(members)
-                at.append(len(lay))
+        None. laid_out, if given, is the (weights, order, starts) to
+        merge in place of the type classes tilted at lam."""
+        weights, lay, at = laid_out or (tilted(lam).tolist(), order, starts)
         blocks = merge_classes(weights, lay, at)
         summed = blocks if lay is order else \
             _per_class(blocks, lay, order, starts)
@@ -299,7 +306,7 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     # found is always the probe at u, the feasible end of the bracket
     lo = u = 0.0
     iterations = 0
-    found = probe(0.0)
+    found = probe(0.0, layout)
     # spread > 0 past this probe, as equal supported costs fit at 0 or
     # raised above; lo == u == 0 skips the bisection when it is 0
     spread = (max(supported) - min(supported)) / w.den

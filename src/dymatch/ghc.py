@@ -9,24 +9,25 @@ ends up with probability zero.
 
 The merge works on classes of leaves that share a weight, and on runs of
 equal weight, as run-length Huffman coding does (Moffat and Turpin
-1998). A run is held compressed where it can be: a class of n leaves is
-one run of n blocks of one leaf, its n//2 pairs are one run of blocks of
-two consecutive members, and so on, so pairing a run is one step however
-many nodes it has. Only an odd node left over meets the next-heavier run
-under the drop rule, and it takes that run's first block. Runs that meet
-at one weight are joined as one list of nodes in index order. A caller
-whose classes tie lays them out as one class first, over their leaves
-sorted by index, so that the merge pairs that class as a run and builds
-no node per leaf: ccghc does so at the facade's multiplier 0, where all
-k+1 type classes share one weight. A block target has few classes (the
-facade's 3^k blocks have k+1 tilted weights), so merge_classes takes a
-few steps per class where merging the lightest two nodes at a time takes
-one per leaf. Nodes are taken in the order (weight, smallest leaf index)
-that the node-at-a-time merge uses, so both give the same tree. The
-weights are first scaled by the power of two that puts the largest in
-[0.5, 1). The products in the merge then never overflow, and whether one
-underflows depends on the weights' ratios, not on their scale: 1e-200
-and 1e300 merge like 1.
+1998). A run is a family: a class of n leaves is one family of n blocks
+of one leaf, its n//2 pairs are one family of blocks of two consecutive
+members, and so on, so pairing a family is one step however many blocks
+it has. Only an odd block left over meets the next-heavier run under the
+drop rule, and it takes that run's first block; the merged pair is a
+single node. A family that meets another run at one weight goes back to
+the heap a block at a time, as single nodes, which the heap then pairs
+in index order. A caller whose classes tie lays them out as one class
+first, over their leaves sorted by index, so that the merge pairs that
+class as one family and puts no node per leaf on the heap: ccghc does so
+at multiplier 0, where all of the facade's k+1 type classes share one
+weight. A block target has few classes (the facade's 3^k blocks have k+1
+tilted weights), so merge_classes takes a few steps per class where
+merging the lightest two nodes at a time takes one per leaf. Nodes are
+taken in the order (weight, smallest leaf index) that the node-at-a-time
+merge uses, so both give the same tree. The weights are first scaled by
+the power of two that puts the largest in [0.5, 1). The products in the
+merge then never overflow, and whether one underflows depends on the
+weights' ratios, not on their scale: 1e-200 and 1e300 merge like 1.
 
 ghc groups the leaves by weight and writes each leaf's length from the
 blocks. ccghc groups them into type classes once and calls merge_classes
@@ -93,23 +94,12 @@ def group_leaves(keys) -> tuple:
     return list(groups), order, starts
 
 
-def _nodes(run, order) -> list:
-    """A run's nodes as (smallest leaf index, subtree) pairs."""
-    if len(run) == 4:
-        return list(zip(run[2], run[3]))
-    _, _, c, pos, d, n = run
-    return [(order[p], (c, p, d))
-            for p in range(pos, pos + (n << d), 1 << d)]
-
-
-def _join_nodes(runs, order) -> tuple:
-    """Runs of one weight as one node list in index order, (indices,
-    subtrees)."""
-    nodes = []
-    for run in runs:
-        nodes += _nodes(run, order)
-    nodes.sort()
-    return tuple(zip(*nodes))
+def _single_nodes(family, order):
+    """A family's blocks as single nodes (weight, smallest leaf index,
+    block), in index order."""
+    v, _, c, pos, d, n = family
+    for p in range(pos, pos + (n << d), 1 << d):
+        yield v, order[p], (c, p, d)
 
 
 def merge_classes(weights, order, starts) -> list:
@@ -124,17 +114,18 @@ def merge_classes(weights, order, starts) -> list:
         increasing depth: the 2^d leaves order[pos:pos + 2^d], all of
         class c, each get codeword length depth + d. A leaf in no block
         is dropped. The lengths are the ones the node-at-a-time merge
-        gives the leaves, each with its class's weight. Runs that meet
-        at one weight, classes of one weight among them, are joined as
-        a node list, which costs a node per leaf; a caller whose classes
-        tie does better to pass them as one class.
+        gives the leaves, each with its class's weight. A class whose
+        weight another run shares goes back to the heap a block at a
+        time, which costs a heap entry per block, at first one per
+        leaf; a caller whose classes tie does better to pass them as one
+        class.
     """
     shift = -frexp(max(weights))[1]
-    # the heap holds one entry per run, (weight, smallest leaf index,
-    # ...). A family (c, pos, d, n) is n blocks of 2^d consecutive
-    # members of class c, from order[pos] on. A node list (indices,
-    # subtrees) holds each node's smallest leaf index and subtree, a
-    # block (c, pos, d) or a (left, right) pair. Each is in index order.
+    # the heap holds (weight, smallest leaf index, ...) entries of two
+    # kinds. A family (c, pos, d, n) is n blocks of 2^d consecutive
+    # members of class c, from order[pos] on, in index order. A single
+    # node holds one subtree, a block (c, pos, d) or a (left, right)
+    # pair.
     heap = []
     for c, v in enumerate(weights):
         v = ldexp(v, shift)
@@ -146,18 +137,18 @@ def merge_classes(weights, order, starts) -> list:
     heapify(heap)
     while True:
         run = heappop(heap)
-        v = run[0]
-        if heap and heap[0][0] == v:
-            runs = [run]
-            while heap and heap[0][0] == v:
-                runs.append(heappop(heap))
-            index, tree = _join_nodes(runs, order)
-            run = (v, index[0], index, tree)
-        # the lightest two nodes are the run's first two, then its next
-        # two: each merged node is heavier than the rest of it
+        v, i = run[0], run[1]
         if len(run) == 6:
-            _, i, c, pos, d, n = run
+            _, _, c, pos, d, n = run
             if n > 1:
+                if heap and heap[0][0] == v:
+                    # another run shares the weight: the blocks go back
+                    # as single nodes, which the heap takes in index order
+                    for node in _single_nodes(run, order):
+                        heappush(heap, node)
+                    continue
+                # the lightest two nodes are the first two blocks, then
+                # the next two: each merged node is heavier than the rest
                 heappush(heap, (2.0 * sqrt(v * v), i, c, pos, d + 1, n >> 1))
                 if not n & 1:
                     continue
@@ -165,16 +156,7 @@ def merge_classes(weights, order, starts) -> list:
                 i = order[pos]
             a = (c, pos, d)
         else:
-            _, _, index, tree = run
-            n = len(index)
-            if n > 1:
-                # zip over one iterator takes the subtrees two at a time
-                pairs = iter(tree)
-                heappush(heap, (2.0 * sqrt(v * v), index[0],
-                                index[:n - 1:2], list(zip(pairs, pairs))))
-                if not n & 1:
-                    continue
-            i, a = index[-1], tree[-1]
+            a = run[2]
         # a lone node meets the lowest-index node of the next-heavier run
         if not heap:
             break
@@ -189,13 +171,10 @@ def merge_classes(weights, order, starts) -> list:
             pos += 1 << d
             rest = (u, order[pos], c, pos, d, n - 1) if n > 1 else None
         else:
-            _, _, index, tree = heavier
-            b = tree[0]
-            rest = (u, index[1], index[1:], tree[1:]) if len(index) > 1 \
-                else None
+            b, rest = heavier[2], None
         if j < i:
             i = j
-        merged = (2.0 * sqrt(v * u), i, (i,), ((a, b),))
+        merged = (2.0 * sqrt(v * u), i, (a, b))
         if rest:
             heapreplace(heap, rest)
             heappush(heap, merged)

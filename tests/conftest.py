@@ -25,6 +25,10 @@ from dymatch.ghc import _as_weights, merge_classes
 settings.register_profile(
     "ci", max_examples=50, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
+# for a harder run of chosen property tests: --hypothesis-profile=deep
+settings.register_profile(
+    "deep", max_examples=2000, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("ci")
 
 _RESULTS = {}
@@ -202,13 +206,14 @@ def expand_blocks(weights, order, starts) -> tuple:
     return tuple(lengths)
 
 
-def record_joins(monkeypatch) -> list:
-    """Hook the node-list join of ghc's merge core: the number of runs
-    of each join."""
+def record_sent_back(monkeypatch) -> list:
+    """Hook the tie path of ghc's merge core: (class, block count) of
+    each family that a tie sends back to the heap a block at a time."""
     module = importlib.import_module("dymatch.ghc")
-    joins: list = []
-    join = module._join_nodes
-    monkeypatch.setattr(module, "_join_nodes",
-                        lambda runs, order: joins.append(len(runs))
-                        or join(runs, order))
-    return joins
+    sent: list = []
+    single_nodes = module._single_nodes
+    monkeypatch.setattr(module, "_single_nodes",
+                        lambda family, order: sent.append(
+                            (family[2], family[5]))
+                        or single_nodes(family, order))
+    return sent

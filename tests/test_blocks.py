@@ -108,6 +108,21 @@ class TestChord:
         with pytest.raises(ValueError, match="is lost in"):
             chord(facade_t, facade_w, 0.2063, 1e-19)
 
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-16, 1e-15, 1e-14,
+                                         1e-13, 1e-12, 1e-10])
+    def test_epsilon_too_small_for_xi(self, facade_t, facade_w, epsilon):
+        # D moves by a few ulps, so xi divides two differences of a few
+        # ulps each and lands outside the tangent slopes, 5.0 at 1e-17
+        # against lam(E*) = 7.5329
+        with pytest.raises(ValueError, match="outside the tangent slopes"):
+            chord(facade_t, facade_w, 0.2063, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 1e-6, 1e-4])
+    def test_xi_between_tangent_slopes(self, facade_t, facade_w, epsilon):
+        lam = solve_simplex(facade_t, facade_w, 0.2063).lam
+        ch = chord(facade_t, facade_w, 0.2063, epsilon)
+        assert lam < ch.xi < solve_simplex(facade_t, facade_w, ch.E_prime).lam
+
     def test_nan_rejected(self, facade_t, facade_w):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             chord(facade_t, facade_w, 0.2063, math.nan)

@@ -14,7 +14,7 @@ from dymatch.ghc import _kraft_multisets, group_leaves, merge_classes
 from dymatch.pmf import _probs_of
 from conftest import (_recomputing_ccghc, assert_matches_oracle,
                       expand_blocks, heap_ghc, random_costs, random_pmf,
-                      record_joins)
+                      record_sent_back)
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 
@@ -305,28 +305,43 @@ class TestRecomputationOracle:
     def test_joined_classes(self, monkeypatch, k, S):
         # costs 0..3 on a uniform target: for k >= 2 some probe at
         # lam > 0 pairs a run onto the weight of a cheaper type class,
-        # and the two must be joined in index order (at k = 1 every
-        # class has one member, so nothing is paired)
+        # and the merge sends one of the two back a block at a time (at
+        # k = 1 every class has one member, so nothing is paired)
         t = kronecker_pmf(Pmf.uniform(4), k)
         w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
         S = k * as_fraction(S)
         want = _recomputing_ccghc(t, w, S)
-        joined = []
+        tied = []
 
         def merge(*args):
-            # whether this probe's merge joined runs
-            before = len(joins)
+            # whether this probe's merge sent a family back
+            before = len(sent)
             merged = merge_classes(*args)
-            joined.append(len(joins) > before)
+            tied.append(len(sent) > before)
             return merged
 
         with monkeypatch.context() as m:
-            joins = record_joins(m)
+            sent = record_sent_back(m)
             m.setattr(CCGHC_MODULE, "merge_classes", merge)
             got = ccghc(t, w, S)
         assert_matches_oracle(got, want)
-        assert any(j for j, e in zip(joined, got.trace) if e.lam > 0) \
+        assert any(j for j, e in zip(tied, got.trace) if e.lam > 0) \
             == (k > 1)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_dyadic_cascade(self, monkeypatch, k):
+        # (1/2, 1/4, 1/4)^k at the facade's costs and budget: the targets
+        # are powers of two, so pairs of one class land on the weights of
+        # others, at lam = 0 after the layout too, and from k = 2 on the
+        # solve's merges send families back
+        t = kronecker_pmf(Pmf([0.5, 0.25, 0.25]), k)
+        w = kronecker_cost(W3, k)
+        S = k * as_fraction("0.2063")
+        with monkeypatch.context() as m:
+            sent = record_sent_back(m)
+            got = ccghc(t, w, S)
+        assert_matches_oracle(got, _recomputing_ccghc(t, w, S))
+        assert bool(sent) == (k > 1)
 
     @pytest.fixture
     def merges(self, monkeypatch):

@@ -14,11 +14,10 @@ from dymatch import (CostVector, Pmf, as_fraction, brute_force_dyadic,
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 from dymatch.ghc import group_leaves, merge_classes
 from conftest import (_recomputing_ccghc, assert_matches_oracle,
-                      expand_blocks, heap_ghc, record_joins,
+                      expand_blocks, heap_ghc, record_sent_back,
                       seeded_instances)
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
-GHC_MODULE = importlib.import_module("dymatch.ghc")
 LOG2_3 = float(np.log2(3))
 KRON_321 = np.kron([3.0, 2.0, 1.0], [3.0, 2.0, 1.0]).tolist()
 
@@ -35,55 +34,64 @@ KRON_FOUR_TIMES = np.kron(_FOUR_TIMES, _FOUR_TIMES).tolist()
 
 # Pairing doubles a weight exactly, so pairs of different weights meet
 # only where the square in 2 sqrt(v v) is subnormal: TINY, TINY_B and
-# TINY_C all pair to 2 TINY, and such blocks of two are joined as a node
-# list. Next to a weight near 1 these leaves are dropped, as no merge of
-# them gets within 4x of it.
+# TINY_C all pair to 2 TINY, where a family of such blocks of two ties
+# with the others. Next to a weight near 1 these leaves are dropped, as
+# no merge of them gets within 4x of it.
 TINY = 2.0 ** -520
 TINY_B = math.nextafter(TINY, 1.0)
 TINY_C = math.nextafter(TINY_B, 1.0)
 # scaled by 1/2 with the largest weight 1, both round to 2 SUB
 SUB = math.ulp(0.0)
 
-# each leaf's (weight, class) for merge_classes; the runs of each
-# node-list join that merge_classes makes on the classes, and of each
-# that ccghc's merges make at multiplier 0, where ccghc first lays out
-# the classes of one weight as one class
+# each leaf's (weight, class) for merge_classes; the (class, block count)
+# of each family that a tie sends back to the heap in merge_classes on
+# the classes, and in ccghc's merge at multiplier 0, where ccghc first
+# lays out the classes of one target as one class. The case names, kept
+# as test ids, come from an earlier merge that joined tied runs into one
+# list of nodes.
 CLASS_JOINS = {
-    # two classes of one weight are joined as one node list, which pairs
-    # into (0, 1) and (2, 3); laid out as one class, they need no join
+    # class a meets class b at weight 1 and goes back as leaves 0 and 2,
+    # which take b's leaves 1 and 3: pairs (0, 1) and (2, 3). Laid out
+    # as one class, the four leaves need no tie path
     "paired joined family": (
-        [(1.0, "a"), (1.0, "b"), (1.0, "a"), (1.0, "b")], [2], []),
+        [(1.0, "a"), (1.0, "b"), (1.0, "a"), (1.0, "b")], [(0, 2)], []),
     # class a's pairs (1, 4) and (5, 6) meet class b's (2, 3)
     "blocks of two joined": (
         [(0.5, "x"), (TINY, "a"), (TINY_B, "b"), (TINY_B, "b"),
-         (TINY, "a"), (TINY, "a"), (TINY, "a")], [2], [2]),
-    # classes a and b meet at weight 0.5, and their pair meets class c's
-    # leaf at weight 1
+         (TINY, "a"), (TINY, "a"), (TINY, "a")], [(1, 2)], [(1, 2)]),
+    # classes a and b meet at weight 0.5, and their pairs (1, 2) and
+    # (3, 4) meet class c's leaves 0 and 5 at weight 1
     "nested join": (
-        [(0.5, "a"), (0.5, "b"), (1.0, "c")], [2, 2], [2]),
-    # class a's pair meets leaf 0 at weight 4, and their pair meets leaf
-    # 1 at weight 8
+        [(1.0, "c"), (0.5, "a"), (0.5, "b"), (0.5, "a"), (0.5, "b"),
+         (1.0, "c")], [(1, 2), (0, 2)], [(0, 2)]),
+    # class a's pairs (0, 2) and (3, 4), a family of blocks of two, meet
+    # class b at weight 4; each takes b's first leaf left
     "family with node list": (
-        [(4.0, "b"), (8.0, "c"), (2.0, "a"), (2.0, "a")], [2, 2], [2, 2]),
-    # leaf 2, left over, takes the first pair (0, 1)
+        [(2.0, "a"), (4.0, "b"), (2.0, "a"), (2.0, "a"), (2.0, "a"),
+         (4.0, "b")], [(0, 2)], [(0, 2)]),
+    # leaf 2, left over, takes the merged pair (0, 1)
     "lone node takes a joined block": (
-        [(3.0, "b"), (3.0, "a"), (3.0, "b")], [2], []),
+        [(3.0, "b"), (3.0, "a"), (3.0, "b")], [(0, 2)], []),
 }
 
 # leaf weights for ghc, which puts the leaves of one weight in one class,
-# and the runs of each node-list join it makes
+# and the (class, block count) of each family that a tie sends back
 LEAF_JOINS = {
     "blocks of two joined": (
-        [1.0, TINY, TINY_B, TINY_B, TINY, TINY, TINY], [2]),
-    # the pairs' pair meets leaf 5 at 4 TINY
+        [1.0, TINY, TINY_B, TINY_B, TINY, TINY, TINY], [(1, 2)]),
+    # the pairs (2, 3) and (6, 7) meet (4, 5) and (8, 9) at 2 TINY, and
+    # their pairs meet leaves 1 and 10 at 4 TINY
     "nested join": (
-        [1.0, TINY, TINY_B, TINY, TINY_B, 4.0 * TINY], [2, 2]),
-    "family with node list": ([4.0, 8.0, 2.0, 2.0], [2, 2]),
-    # three pairs: (1, 4), (2, 5) and (3, 6) left over
+        [1.0, 4.0 * TINY, TINY, TINY_B, TINY, TINY_B, TINY, TINY_B, TINY,
+         TINY_B, 4.0 * TINY], [(2, 2), (1, 2)]),
+    "family with node list": ([2.0, 4.0, 2.0, 2.0, 2.0, 4.0], [(0, 2)]),
+    # the pairs (1, 4) and (7, 8) meet (2, 5) and (3, 6) at 2 TINY
     "three blocks of two joined": (
-        [1.0, TINY, TINY_B, TINY_C, TINY, TINY_B, TINY_C], [3]),
+        [1.0, TINY, TINY_B, TINY_C, TINY, TINY_B, TINY_C, TINY, TINY],
+        [(1, 2)]),
     # classes of two raw weights that scaling makes one
-    "classes scaled to one weight": ([1.0, 3 * SUB, 4 * SUB], [2]),
+    "classes scaled to one weight": (
+        [1.0, 3 * SUB, 4 * SUB, 3 * SUB, 4 * SUB], [(1, 2)]),
 }
 
 
@@ -273,11 +281,15 @@ class TestAgainstHeapMerge:
     @staticmethod
     def _check_probes(monkeypatch, t, w, k, S) -> int:
         """Run ccghc with every probe's class merge expanded to leaves and
-        checked against heap_ghc on the leaf tilt; return the probes."""
+        checked against heap_ghc on the leaf tilt; return the probes. No
+        merge of the solve may take the tie path: the type classes tilt
+        to distinct weights, and no pair lands on another's weight."""
         tk, wk = kronecker_pmf(t, k), kronecker_cost(w, k)
         with monkeypatch.context() as m:
             merges = _record_merges(m)
+            sent = record_sent_back(m)
             res = ccghc(tk, wk, S)
+        assert sent == []
         assert len(merges) == len(res.trace)
         for args, probe in zip(merges, res.trace):
             assert expand_blocks(*args) \
@@ -298,34 +310,45 @@ class TestAgainstHeapMerge:
     @staticmethod
     def _class_merge(monkeypatch, t, w, lam) -> tuple:
         """The class merge of the type classes of (t, w) at lam, expanded
-        to leaves, and the runs of each node-list join it made."""
+        to leaves, and the families that ties sent back."""
         targets, costs, order, starts = _type_classes(t, w)
         weights = tilt(targets, costs, lam).tolist()
         with monkeypatch.context() as m:
-            joins = record_joins(m)
+            sent = record_sent_back(m)
             got = expand_blocks(weights, order, starts)
-        return got, joins
+        return got, sent
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 3.0])
     def test_joined_classes(self, monkeypatch, lam):
         # a class of cost c has weight 2^(-lam c) / 4^k: at lam = 0 all
         # classes share one weight, and at lam > 0 paired runs of one
-        # class land on the weight of a cheaper class; runs that meet
-        # must be joined in index order
-        joins = 0
+        # class land on the weight of a cheaper class; a run that meets
+        # another goes back a block at a time, paired in index order
+        sends = 0
         for k in range(1, 5):
             t = kronecker_pmf(Pmf.uniform(4), k)
             w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
-            got, joined = self._class_merge(monkeypatch, t, w, lam)
+            got, sent = self._class_merge(monkeypatch, t, w, lam)
             assert got == heap_ghc(tilt(t, w, lam)).lengths
-            joins += len(joined)
-        assert joins > 0
+            sends += len(sent)
+        assert sends > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_dyadic_cascade(self, monkeypatch, k):
+        # (1/2, 1/4, 1/4)^k: every pair lands on the weight of another
+        # class, so ties cascade from the lightest weight to the root
+        t = kronecker_pmf(Pmf([0.5, 0.25, 0.25]), k)
+        with monkeypatch.context() as m:
+            sent = record_sent_back(m)
+            got = ghc(t)
+        assert got.lengths == heap_ghc(t).lengths
+        assert len(sent) > 0 if k > 1 else sent == []
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_facade_lambda_zero(self, monkeypatch, k):
         # the first probe: every type class has the weight 3^-k, so ccghc
         # lays the k + 1 classes out as one class of the leaves in index
-        # order, which the merge pairs with no join and no node list
+        # order, which the merge pairs with no tie
         t, w = kronecker_pmf(TARGET, k), kronecker_cost(SLAT_COSTS, k)
         targets, costs, _, _ = _type_classes(t, w)
         assert len(set(tilt(targets, costs, 0.0))) == 1
@@ -336,12 +359,10 @@ class TestAgainstHeapMerge:
         weights, order, starts = merges[0]
         assert len(weights) == 1
         assert order == list(range(3 ** k)) and starts == [0, 3 ** k]
-        monkeypatch.setattr(GHC_MODULE, "_nodes",
-                            lambda run, order: pytest.fail("node list"))
-        joins = record_joins(monkeypatch)
+        sent = record_sent_back(monkeypatch)
         assert expand_blocks(weights, order, starts) \
             == heap_ghc(tilt(t, w, 0.0)).lengths
-        assert joins == []
+        assert sent == []
 
     # the square of (3, 2, 1): leaves 1 and 3 and a merged node with
     # index 2 meet at weight 6, queued as two runs out of index order.
@@ -367,33 +388,34 @@ class TestAgainstHeapMerge:
 
 class TestJoins:
     """Runs that meet at one weight, against heap_ghc: merge_classes
-    joins them as a node list, and ccghc lays out classes of one weight
-    as one class before its merge."""
+    sends a family that ties back to the heap a block at a time, and
+    ccghc lays out classes of one target as one class before its merge
+    at multiplier 0."""
 
     @pytest.mark.parametrize("case", CLASS_JOINS)
     def test_merge_classes(self, monkeypatch, case):
-        leaves, want_joins, _ = CLASS_JOINS[case]
+        leaves, want_sent, _ = CLASS_JOINS[case]
         classes, order, starts = group_leaves(leaves)
         with monkeypatch.context() as m:
-            joins = record_joins(m)
+            sent = record_sent_back(m)
             got = expand_blocks([v for v, _ in classes], order, starts)
         assert got == heap_ghc([v for v, _ in leaves]).lengths
-        assert joins == want_joins
+        assert sent == want_sent
 
     @pytest.mark.parametrize("case", LEAF_JOINS)
     def test_ghc(self, monkeypatch, case):
-        xs, want_joins = LEAF_JOINS[case]
+        xs, want_sent = LEAF_JOINS[case]
         with monkeypatch.context() as m:
-            joins = record_joins(m)
+            sent = record_sent_back(m)
             got = ghc(xs)
         assert got.lengths == heap_ghc(xs).lengths
-        assert joins == want_joins
+        assert sent == want_sent
 
     @pytest.mark.parametrize("case", CLASS_JOINS)
     def test_ccghc(self, monkeypatch, case):
         # each class gets its own cost, so ccghc's type classes are the
         # case's classes, and its first probe, at lambda 0, merges them
-        leaves, _, want_joins = CLASS_JOINS[case]
+        leaves, _, want_sent = CLASS_JOINS[case]
         tags = sorted({tag for _, tag in leaves})
         t = Pmf(np.array([v for v, _ in leaves]) / sum(v for v, _ in leaves))
         w = CostVector([tags.index(tag) for _, tag in leaves])
@@ -403,13 +425,13 @@ class TestJoins:
         def merge(*args):
             merged = merge_classes(*args)
             if not at_zero:
-                at_zero.append(list(joins))
+                at_zero.append(list(sent))
             return merged
 
         with monkeypatch.context() as m:
-            joins = record_joins(m)
+            sent = record_sent_back(m)
             m.setattr(CCGHC_MODULE, "merge_classes", merge)
             got = ccghc(t, w, S)
-        assert at_zero == [want_joins]
+        assert at_zero == [want_sent]
         assert got.iterations > 0
         assert_matches_oracle(got, _recomputing_ccghc(t, w, S))

@@ -19,8 +19,6 @@ the curve, once k is large enough.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from math import log
 
@@ -29,7 +27,7 @@ from .ghc import ghc
 from .pmf import (CostVector, Number, Pmf, as_float, as_fraction,
                   average_cost_exact, check_size_cap, kl_divergence,
                   kronecker_cost, kronecker_pmf)
-from .simplex import _search, _solution, solve_simplex
+from .simplex import _csv_text, _search, _solution, solve_simplex
 
 
 @dataclass(frozen=True)
@@ -165,11 +163,7 @@ def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
 
 def sweep_csv(records) -> str:
     """CSV text (k, kl_per_symbol, cost_per_symbol, lambda_star, gap)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "kl_per_symbol", "cost_per_symbol",
-                     "lambda_star", "gap"])
-    for r in records:
-        writer.writerow([r.k, repr(r.kl_per_symbol), repr(r.cost_per_symbol),
-                         repr(r.lambda_star), repr(r.gap)])
-    return buf.getvalue()
+    return _csv_text(
+        ["k", "kl_per_symbol", "cost_per_symbol", "lambda_star", "gap"],
+        ([r.k, repr(r.kl_per_symbol), repr(r.cost_per_symbol),
+          repr(r.lambda_star), repr(r.gap)] for r in records))

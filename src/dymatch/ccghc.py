@@ -64,9 +64,9 @@ from math import inf, isfinite, ldexp, log2
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleConstraintError
-from .ghc import ghc, group_leaves, leaf_lengths, merge_classes
-from .pmf import (CostVector, DyadicPmf, Number, Pmf, _probs_of,
-                  as_fraction, average_cost_exact, kl_divergence)
+from .ghc import _as_weights, ghc, group_leaves, leaf_lengths, merge_classes
+from .pmf import (CostVector, DyadicPmf, Number, Pmf, as_fraction,
+                  average_cost_exact, kl_divergence)
 
 # relative bracket width at which ccghc's bisection stops (see ccghc)
 WIDTH = 2.0 ** -32
@@ -83,15 +83,9 @@ class _Tilt:
     __slots__ = ("size", "supported", "targets", "costs", "cheapest")
 
     def __init__(self, t, w: CostVector):
-        tp = _probs_of(t)
+        tp = _as_weights(t, "targets")
         if len(tp) != len(w):
             raise ValueError(f"length mismatch: {len(tp)} vs {len(w)}")
-        # min and max propagate NaN, which fails every comparison
-        lo, hi = tp.min(), tp.max()
-        if not (lo >= 0 and hi < inf):
-            raise ValueError("targets must be finite and non-negative")
-        if not hi > 0:
-            raise ValueError("targets must have a positive entry")
         self.supported = tp > 0
         self.size = len(tp)
         self.targets = tp[self.supported]
@@ -123,8 +117,9 @@ def tilt(t, w: CostVector, lam: float) -> np.ndarray:
     2^-1100, which is 0 as a float.
 
     Raises:
-        ValueError: t and w differ in length, t has a NaN, infinite or
-            negative entry or none above 0, or lam is NaN or infinite.
+        ValueError: t is not a non-empty vector, t and w differ in
+            length, t has a NaN, infinite or negative entry or none above
+            0 (ghc's weights check), or lam is NaN or infinite.
     """
     return _Tilt(t, w)(lam)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .blocks import convergence_sweep, sweep_csv
 from .ccghc import ccghc
 from .codes import SymbolAlphabet, canonical_code, format_code_table, \
-    load_code, parse_code_table, prefix_violations, verify_kraft
+    load_code, parse_code_table, prefix_violations, table_token, verify_kraft
 from .errors import CodeFormatError, DymatchError, InfeasibleConstraintError, \
     SizeCapError
 from .facade import SLAT_ALPHABET
@@ -92,11 +92,15 @@ def _cmd_match(args) -> int:
     # the size cap is checked before any block is named
     target = kronecker_pmf(t, k)
     costs = kronecker_cost(w, k)
-    blocks = tuple("".join(p) for p in itertools.product(tokens, repeat=k))
+    blocks = SymbolAlphabet(map("".join, itertools.product(tokens, repeat=k)))
+    # a block the code-table file cannot spell is refused before the
+    # solve. Past k = 1 each token is one character, so a block is spelled
+    # exactly when each of its tokens is.
+    for tok in tokens:
+        table_token(tok)
     res = ccghc(target, costs, k * S)
-    # a result that has no code table, or a table the file format cannot
-    # spell, fails before any output
-    table = format_code_table(canonical_code(res.d, SymbolAlphabet(blocks)))
+    # a result that has no code table fails before any output
+    table = format_code_table(canonical_code(res.d, blocks))
     payload = res.to_dict()
     payload["block"] = k
     payload["per_symbol"] = {"cost": float(res.cost_exact / k),

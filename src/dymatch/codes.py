@@ -4,7 +4,8 @@ code-table files.
 A code table file is UTF-8 text, one entry per line as
 <symbol-or-block><TAB><bitstring>, with # starting a comment line and
 blank lines ignored. Blocks are written as concatenated symbol tokens
-(lmr). The space symbol is written as _ in files.
+(lmr). The space symbol is written as _ in files, and a symbol the file
+would not give back is refused when written (table_token).
 """
 from __future__ import annotations
 
@@ -22,6 +23,14 @@ SPACE_TOKEN = "_"
 
 # the first character of a bit string that is not a bit
 _NOT_A_BIT = re.compile("[^01]")
+
+
+def validate_bits(bits: str) -> None:
+    """Raise CodeFormatError at the first character of bits not 0 or 1."""
+    bad = _NOT_A_BIT.search(bits)
+    if bad:
+        raise CodeFormatError(f"invalid bit {bad.group()!r}",
+                              position=bad.start())
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,7 @@ class PrefixCode:
             raise ValueError(f"codeword {a!r} is a prefix of {b!r}")
         object.__setattr__(self, "entries", pairs)
         object.__setattr__(self, "_by_symbol", by_symbol)
-        # the parser's view: codeword to symbol, and the distinct codeword
+        # parse's index: codeword to symbol, and the distinct codeword
         # lengths in ascending order
         object.__setattr__(self, "_by_bits", {b: s for s, b in pairs})
         object.__setattr__(self, "_lengths",
@@ -127,6 +136,28 @@ class PrefixCode:
     @property
     def symbols(self) -> tuple:
         return tuple(s for s, _ in self.entries)
+
+    def parse(self, bits: str) -> tuple:
+        """Symbols of the longest run of whole codewords that starts bits,
+        and the position where the run stops.
+
+        Any prefix code works, canonical or not: at each position the
+        code's distinct codeword lengths are tried in ascending order, and
+        prefix-freeness makes the first hit the only one.
+        """
+        by_bits, lengths = self._by_bits, self._lengths
+        out = []
+        pos, n = 0, len(bits)
+        while pos < n:
+            for l in lengths:
+                sym = by_bits.get(bits[pos:pos + l])
+                if sym is not None:
+                    break
+            else:
+                break
+            out.append(sym)
+            pos += l
+        return out, pos
 
     @property
     def max_length(self) -> int:
@@ -204,8 +235,26 @@ def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet) -> PrefixCode:
                        if b is not None])
 
 
-def _encode_token(symbol: str) -> str:
-    return symbol.replace(" ", SPACE_TOKEN)
+def table_token(symbol: str) -> str:
+    """symbol as a code-table file spells it, each space written as _.
+
+    Raises ValueError for a symbol that parse_code_table would not give
+    back: one holding _, or one whose spelling is empty, holds whitespace
+    or starts with # (a comment line).
+    """
+    if SPACE_TOKEN in symbol:
+        # the file format spells space as _, so a literal _ would not
+        # survive the round trip
+        raise ValueError(f"symbol {symbol!r} collides with the space token")
+    token = symbol.replace(" ", SPACE_TOKEN)
+    # split() breaks token at exactly the characters isspace() accepts,
+    # which the parser strips or splits lines at. Past the space, now _,
+    # each of them is unprintable, so a printable token skips that test.
+    if (not token or token[0] == "#"
+            or not token.isprintable() and token.split() != [token]):
+        raise ValueError(f"symbol {symbol!r} is empty, starts with '#' or "
+                         f"holds whitespace other than a space")
+    return token
 
 
 def _decode_token(token: str) -> str:
@@ -270,12 +319,7 @@ def format_code_table(code: PrefixCode, header: str = "") -> str:
     lines = []
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())
-    for sym, bits in code.entries:
-        if SPACE_TOKEN in sym:
-            # the file format spells space as _, so a literal _ would not
-            # survive the round trip
-            raise ValueError(f"symbol {sym!r} collides with the space token")
-        lines.append(f"{_encode_token(sym)}\t{bits}")
+    lines.extend(f"{table_token(sym)}\t{bits}" for sym, bits in code.entries)
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,8 @@ ghc groups the leaves by weight and writes each leaf's length from the
 blocks. ccghc groups them into type classes once and calls merge_classes
 at every probe, so a probe costs work per class, not per leaf. Weights
 are plain float arrays, such as tilt returns; ghc and brute_force_dyadic
-check the ones they are given, and merge_classes takes a list of floats.
+check the ones they are given, ccghc's tilt checks its targets by the
+same rule (_as_weights), and merge_classes takes a list of floats.
 
 brute_force_dyadic enumerates every dyadic pmf on small instances. It is
 the self-contained optimality oracle: the test suite certifies ghc against
@@ -55,20 +56,20 @@ _BRUTE_MAX_SUPPORT = 8
 _BRUTE_MAX_LEN = 10
 
 
-def _as_weights(x) -> np.ndarray:
+def _as_weights(x, subject: str = "weights") -> np.ndarray:
     """x as non-negative float weights, checked: a Pmf's or DyadicPmf's
     probabilities, else x itself. They need not sum to 1: tilted
     targets are sub-normalized, and normalization only shifts the KL
-    objective by a constant."""
+    objective by a constant. subject names them in the error messages."""
     w = np.atleast_1d(_probs_of(x))
     if w.ndim != 1 or len(w) == 0:
-        raise ValueError("weights must be a non-empty vector")
+        raise ValueError(f"{subject} must be a non-empty vector")
     # min and max propagate NaN, which fails every comparison
     lo, hi = w.min(), w.max()
     if not (lo >= 0 and hi < np.inf):
-        raise ValueError("weights must be finite and non-negative")
+        raise ValueError(f"{subject} must be finite and non-negative")
     if not hi > 0:
-        raise ValueError("weights must have at least one positive entry")
+        raise ValueError(f"{subject} must have at least one positive entry")
     return w
 
 

@@ -6,6 +6,10 @@ one symbol block per parsed codeword. Because the matcher is complete,
 any bit stream parses; a stream that ends inside a codeword is completed
 with zero bits, and the original bit count travels with the result so
 the decode direction can strip the padding exactly.
+
+Every stage checks and walks bits with the codes module's validate_bits
+and PrefixCode.parse; this module decides what a stream that stops
+early means for each stage.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import _NOT_A_BIT, PrefixCode, SymbolAlphabet, verify_kraft
+from .codes import PrefixCode, SymbolAlphabet, validate_bits, verify_kraft
 from .errors import CodeFormatError
 from .facade import SLAT_ALPHABET, SLOT_WIDTH
 from .pmf import CostVector, Pmf, average_cost
@@ -53,36 +57,6 @@ class EncodeResult:
     stats: Optional[FrequencyStats] = None
 
 
-def _validate_bits(bits: str) -> None:
-    bad = _NOT_A_BIT.search(bits)
-    if bad:
-        raise CodeFormatError(f"invalid bit {bad.group()!r}",
-                              position=bad.start())
-
-
-def _parse(bits: str, code: PrefixCode) -> tuple:
-    """Symbols of the longest run of whole codewords that starts bits,
-    and the position where the run stops.
-
-    Any prefix code works, canonical or not: at each position the code's
-    distinct codeword lengths are tried in ascending order, and
-    prefix-freeness makes the first hit the only one.
-    """
-    by_bits, lengths = code._by_bits, code._lengths
-    out = []
-    pos, n = 0, len(bits)
-    while pos < n:
-        for l in lengths:
-            sym = by_bits.get(bits[pos:pos + l])
-            if sym is not None:
-                break
-        else:
-            break
-        out.append(sym)
-        pos += l
-    return out, pos
-
-
 def _block_length(matcher: PrefixCode) -> int:
     lengths = {len(sym) for sym, _ in matcher.entries}
     if len(lengths) != 1:
@@ -107,8 +81,8 @@ def compress_text(text: str, source_code: PrefixCode) -> str:
 
 def decompress_bits(bits: str, source_code: PrefixCode) -> str:
     """Inverse of compress_text; the bits must be whole codewords."""
-    _validate_bits(bits)
-    chars, stop = _parse(bits, source_code)
+    validate_bits(bits)
+    chars, stop = source_code.parse(bits)
     if stop < len(bits):
         rest = bits[stop:]
         # bits past the longest prefix of rest that some codeword shares
@@ -129,16 +103,16 @@ def match_bits(bits: str, matcher: PrefixCode) -> EncodeResult:
     Completeness guarantees every stream parses. A final partial codeword
     is completed with zero bits; pad_bits records how many were added.
     """
-    _validate_bits(bits)
+    validate_bits(bits)
     kraft = verify_kraft(matcher)
     if kraft != 1:
         raise ValueError(f"matcher code is not complete (Kraft sum {kraft})")
-    blocks, stop = _parse(bits, matcher)
+    blocks, stop = matcher.parse(bits)
     pad = 0
     if stop < len(bits):
         # a complete code's parse stops only inside a codeword
         rest = bits[stop:]
-        last = _parse(rest + "0" * matcher.max_length, matcher)[0][0]
+        last = matcher.parse(rest + "0" * matcher.max_length)[0][0]
         blocks.append(last)
         pad = len(matcher.bits_for(last)) - len(rest)
     return EncodeResult(symbols="".join(blocks), bit_count=len(bits),
@@ -206,7 +180,7 @@ def _chars_consumed(kept: str, matcher: PrefixCode, source_code: PrefixCode,
     k = _block_length(matcher)
     carried = sum(len(matcher.bits_for(kept[j:j + k]))
                   for j in range(0, len(kept) - k + 1, k))
-    return len(_parse(bits[:carried], source_code)[0])
+    return len(source_code.parse(bits[:carried])[0])
 
 
 def run_facade(text: str, source_code: PrefixCode, matcher: PrefixCode,

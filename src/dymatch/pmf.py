@@ -198,16 +198,9 @@ class CostVector:
             raise ValueError("cost vector needs at least one entry")
         if any(c < 0 for c in exact):
             raise ValueError("costs must be non-negative")
-        # den is the lcm of the denominators. Where the largest one is
-        # that lcm, den and the numerators already over it are the inputs'
-        # own int objects, so a stored vector holds few new ints.
-        dens = [c.denominator for c in exact]
-        den = max(dens)
-        if any(den % d for d in dens):
-            den = math.lcm(*dens)
-        self._set(tuple(c.numerator if c.denominator == den
-                        else c.numerator * (den // c.denominator)
-                        for c in exact), den)
+        den = math.lcm(*(c.denominator for c in exact))
+        self._set(tuple(c.numerator * (den // c.denominator) for c in exact),
+                  den)
 
     @classmethod
     def _scaled(cls, nums: tuple, den: int) -> "CostVector":

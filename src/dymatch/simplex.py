@@ -185,11 +185,16 @@ def geometry_identity_residual(p: Pmf, t: Pmf, w: CostVector,
     return abs(lhs - rhs)
 
 
-def curve_csv(points: Sequence[TiltedSolution]) -> str:
-    """CSV text (E, D, lambda) for plotting."""
+def _csv_text(header: list, rows) -> str:
+    """CSV text of a header row and the rows after it."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["E", "D", "lambda"])
-    for pt in points:
-        writer.writerow([repr(pt.E), repr(pt.D), repr(pt.lam)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def curve_csv(points: Sequence[TiltedSolution]) -> str:
+    """CSV text (E, D, lambda) for plotting."""
+    return _csv_text(["E", "D", "lambda"],
+                     ([repr(pt.E), repr(pt.D), repr(pt.lam)] for pt in points))

@@ -73,6 +73,22 @@ class TestConvergenceSweep:
         assert lines[0] == "k,kl_per_symbol,cost_per_symbol,lambda_star,gap"
         assert len(lines) == 5
 
+    def test_csv_text_pinned(self):
+        # the exact text, CRLF line ends and float reprs included
+        records = [
+            BLOCKS_MODULE.ConvergenceRecord(1, 0.1, 0.2063, 0.0, -1.5e-17),
+            BLOCKS_MODULE.ConvergenceRecord(
+                2, 0.06933815087417476, 0.20606837606837605,
+                9.230769230769232, 1e-300),
+            BLOCKS_MODULE.ConvergenceRecord(10, 1.0, 2.5e16, math.inf,
+                                            math.nan)]
+        assert sweep_csv(records) == (
+            "k,kl_per_symbol,cost_per_symbol,lambda_star,gap\r\n"
+            "1,0.1,0.2063,0.0,-1.5e-17\r\n"
+            "2,0.06933815087417476,0.20606837606837605,9.230769230769232,"
+            "1e-300\r\n"
+            "10,1.0,2.5e+16,inf,nan\r\n")
+
 
 class TestChord:
     def test_facade_fixture(self, facade_t, facade_w):

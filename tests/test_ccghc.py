@@ -58,7 +58,7 @@ class TestTilt:
         ([np.nan, 0.5, 0.5], "finite and non-negative"),
         ([-0.25, 0.75, 0.5], "finite and non-negative"),
         ([np.inf, 0.5, 0.5], "finite and non-negative"),
-        ([0.0, 0.0, 0.0], "a positive entry")])
+        ([0.0, 0.0, 0.0], "at least one positive entry")])
     def test_rejects_bad_targets(self, t, message):
         # each is refused by name: NaN and negative entries must not tilt
         # silently to 0, nor an all-zero target fail inside numpy

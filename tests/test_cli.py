@@ -179,6 +179,29 @@ class TestMatch:
         assert out == ""
         assert "collides with the space token" in err
 
+    @pytest.mark.parametrize("block, alphabet, message", [
+        (3, "l,l,m", "distinct"),
+        (1, "l,,m", "non-empty"),
+        (1, "#a,r,m", "'#'"),
+        (3, "l,r,#", "'#'"),
+        (3, "_,r,m", "space token"),
+        (1, "aa,bb,c_c", "space token"),
+        (1, "a b,r,m", "whitespace")])
+    def test_bad_alphabet_refused_before_solving(self, files, capsys,
+                                                 monkeypatch, block, alphabet,
+                                                 message):
+        # the costliest symbol gets no codeword at block 1 (see below), so
+        # only a check before the solve refuses "c_c"
+        def fail(*args, **kwargs):
+            raise AssertionError("ccghc ran")
+        monkeypatch.setattr("dymatch.cli.ccghc", fail)
+        code, out, err = run(["match", "--target", files["target"],
+                              "--costs", files["costs"], "--budget", "0.2063",
+                              "--block", str(block), "--alphabet", alphabet],
+                             capsys)
+        assert (code, out) == (3, "")
+        assert message in err
+
     def test_block_one_multichar_tokens(self, files, capsys):
         code, out, _ = run(["match", "--target", files["target"],
                             "--costs", files["costs"], "--budget", "0.2063",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dymatch import (CodeFormatError, DyadicPmf, PrefixCode, SymbolAlphabet,
                      canonical_code, load_code, parse_code_table,
                      save_code, verify_kraft)
-from dymatch.codes import prefix_violations
+from dymatch.codes import format_code_table, prefix_violations
 from dymatch.facade import matcher_code, source_code
 
 ABC = SymbolAlphabet(("a", "b", "c"))
@@ -263,6 +263,41 @@ class TestCodeTableIO:
         code = PrefixCode([("x_y", "0"), ("a", "1")])
         with pytest.raises(ValueError):
             save_code(code, tmp_path / "bad.tsv")
+
+    @pytest.mark.parametrize("sym", ["#a", "", "a\tb", "a\nb", "\u00a0",
+                                     "a\x1cb"])
+    def test_unreadable_symbol_rejected_on_save(self, tmp_path, sym):
+        # each would read back as a comment, an empty or cut symbol, or
+        # not at all; nothing is written
+        path = tmp_path / "bad.tsv"
+        with pytest.raises(ValueError, match="is empty, starts with '#'"):
+            save_code(PrefixCode([(sym, "0"), ("b", "1")]), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("sym", ["a#", " #", "a b", "  ", " a ",
+                                     "\ufeff"])
+    def test_spelled_symbol_saved(self, tmp_path, sym):
+        # a space is written as _, and only a leading # starts a comment
+        path = tmp_path / "ok.tsv"
+        code = PrefixCode([(sym, "0"), ("b", "1")])
+        save_code(code, path)
+        assert load_code(path) == code
+
+    @given(st.lists(st.text(alphabet="ab _#\t\u00a0", max_size=4),
+                    min_size=1, max_size=6, unique=True),
+           st.text(alphabet="ab #\n", max_size=8))
+    @example(["#a", "b"], "")
+    @example([" ", "a#"], "#")
+    def test_accepted_code_reads_back_equal(self, symbols, header):
+        # every code the writer accepts is the code the reader gives back
+        n = len(symbols).bit_length()
+        code = PrefixCode((s, format(i, f"0{n}b"))
+                          for i, s in enumerate(symbols))
+        try:
+            text = format_code_table(code, header)
+        except ValueError:
+            return
+        assert PrefixCode(parse_code_table(text)) == code
 
     def test_parse_reports_line_and_column(self):
         with pytest.raises(CodeFormatError) as err:

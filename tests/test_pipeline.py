@@ -14,7 +14,6 @@ from dymatch import (CodeFormatError, CostVector, Pmf, PrefixCode,
 from dymatch.codes import SymbolAlphabet
 from dymatch.facade import (SLAT_ALPHABET, SLAT_COSTS, TARGET, matcher_code,
                             source_code)
-from dymatch.pipeline import _parse
 
 SRC = source_code()
 MAT = matcher_code()
@@ -211,7 +210,7 @@ class TestParseDifferential:
     @given(bits=bits_strategy)
     def test_parse(self, name, bits):
         code = self.CODES[name]
-        assert _parse(bits, code) == _ref_parse(bits, code)
+        assert code.parse(bits) == _ref_parse(bits, code)
 
     @pytest.mark.parametrize("name", sorted(CODES))
     @given(bits=bits_strategy)

@@ -393,6 +393,17 @@ class TestDistanceCostCurve:
         assert lines[0] == "E,D,lambda"
         assert len(lines) == 3
 
+    def test_csv_text_pinned(self):
+        # the exact text, CRLF line ends and float reprs included
+        p = Pmf.uniform(2)
+        pts = [SIMPLEX.TiltedSolution(p, 0.0, 0.2233333333333333, 0.0),
+               SIMPLEX.TiltedSolution(p, 7.873023, 1 / 3, -0.0),
+               SIMPLEX.TiltedSolution(p, 1e-320, 12345678901234.5, 0.1)]
+        assert curve_csv(pts) == ("E,D,lambda\r\n"
+                                  "0.2233333333333333,0.0,0.0\r\n"
+                                  "0.3333333333333333,-0.0,7.873023\r\n"
+                                  "12345678901234.5,0.1,1e-320\r\n")
+
 
 class TestGeometryIdentity:
     def test_at_the_optimum(self):

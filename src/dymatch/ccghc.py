@@ -24,14 +24,11 @@ weight and equal cost tilt to equal weights at every multiplier, so
 ccghc groups them once, into an array of class targets and a CostVector
 of class costs, and prepares their tilt once (_Tilt). Each probe tilts
 that array, one weight per class, and runs ghc's merge core,
-merge_classes, on the weights (the facade's 3^k blocks form k+1
-classes). At multiplier 0 the tilt is the target, so classes of one
-positive target tie there (all of the facade's do): once per solve,
-before the first probe, ccghc lays each such group out as one class over
-its leaves in index order, and the probe at 0 merges that layout, which
-the merge pairs as one run. At every multiplier above 0 the probes merge
-the type classes as grouped; a tie there takes the merge's tie path,
-which sends a class back to the heap a block at a time.
+merge_classes, on the weights, with the type classes laid out in order
+of first appearance (the facade's 3^k blocks form k+1 classes). Type
+classes that tie, as those of one target do at multiplier 0 (all of the
+facade's do), take their turns in that order, and each pairs its own
+blocks first.
 
 A probe then costs its merge plus a sum over the blocks of the code
 tree. A block (depth, c, pos, d) holds 2^d leaves of class c, each of
@@ -42,12 +39,17 @@ integers over 2^top, and feasibility is an integer comparison with the
 budget. The KL is a float sum, so a probe's KL can differ from
 kl_divergence on the expanded probabilities in the last bits (by at
 most 1.5e-15 relative over every probe on the facade at k <= 10 and on
-seeded and tie-heavy random instances). A block over
-classes laid out as one counts its members per class first. The result
-is certified once on the leaves: ghc and average_cost_exact recompute
-the lengths and the exact cost at lambda_star, which must be equal, and
-kl_divergence gives the result's kl, which must agree with the probe's
-within 1e-12 relative; a disagreement raises RuntimeError.
+seeded and tie-heavy random instances).
+
+The result is certified once on the leaves. ghc recomputes the lengths
+at lambda_star from the leaf tilt. Where type classes tie there, ghc
+lays them out as one class in index order, so it can return another
+tree than the probe's, of the same value of kl + lambda_star * cost:
+then the result is the probe's tree, whose feasibility the search
+decided, and the two values must agree within 1e-12 relative.
+average_cost_exact recomputes the result's exact cost, which must equal
+the probe's, and kl_divergence gives its kl, which must agree with the
+probe's within 1e-12 relative; a disagreement raises RuntimeError.
 
 Every probe also bounds the optimum from below: d_lambda minimizes
 kl + lambda * cost over all dyadic pmfs, so kl(d_lambda) +
@@ -182,28 +184,11 @@ class CcGhcResult:
         return out
 
 
-def _per_class(blocks, lay, order, starts) -> list:
-    """Blocks over lay, whose classes each hold leaves of several type
-    classes, as blocks of one type class each, for the probe's sums: a
-    block's n members of type class c, at codeword length L, become one
-    block (L - b, c, None, b) per bit b set in n. order and starts are
-    the type classes, as group_leaves gives them."""
-    classes = np.empty(len(order), dtype=np.intp)
-    classes[order] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    classes = classes[lay]
-    out = []
-    for depth, _, pos, d in blocks:
-        counts = np.bincount(classes[pos:pos + (1 << d)]).tolist()
-        for c, n in enumerate(counts):
-            out += [(depth + d - b, c, None, b)
-                    for b in range(n.bit_length()) if n >> b & 1]
-    return out
-
-
 def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     """Feasible dyadic pmf close in KL to t under w^T d <= S.
 
-    The returned d is ghc of the tilt at lambda_star: it minimizes
+    The returned d is the class merge of the tilt at lambda_star, which
+    is ghc of the leaf tilt up to how ties are broken: it minimizes
     kl(d||t) + lambda_star * w^T d, and therefore KL among dyadic pmfs
     that cost at most its own cost_exact. It is the minimizer subject to
     w^T d <= S when cost_exact equals S or lambda_star is 0; otherwise a
@@ -253,38 +238,16 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     bits = len(t).bit_length()
     trace = []
 
-    # at multiplier 0 the tilt is the target, so classes of one positive
-    # target tie there. The probe at 0 merges them laid out as one class,
-    # each target's leaves in index order, which the merge pairs as one
-    # run and not a block at a time. Classes at target 0 get no codeword,
-    # so their ties call for no layout.
-    layout = None
-    positive = [p for p, _ in keys if p > 0]
-    if len(set(positive)) < len(positive):
-        groups: dict = {}
-        for c, (p, _) in enumerate(keys):
-            groups.setdefault(p, []).extend(order[starts[c]:starts[c + 1]])
-        lay, at = [], [0]
-        for members in groups.values():
-            lay += sorted(members)
-            at.append(len(lay))
-        layout = (list(groups), lay, at)
-
-    def probe(lam: float, laid_out=None):
-        """(the class layout, merge_classes' blocks, the exact cost as
-        numerator and denominator, KL) at lam when feasible, else
-        None. laid_out, if given, is the (weights, order, starts) to
-        merge in place of the type classes tilted at lam."""
-        weights, lay, at = laid_out or (tilted(lam).tolist(), order, starts)
-        blocks = merge_classes(weights, lay, at)
-        summed = blocks if lay is order else \
-            _per_class(blocks, lay, order, starts)
+    def probe(lam: float):
+        """(merge_classes' blocks, the exact cost as numerator and
+        denominator, KL) at lam when feasible, else None."""
+        blocks = merge_classes(tilted(lam).tolist(), starts)
         # Kraft sum and cost over 2^top, top beyond the longest codeword:
         # a block at depth D holds 2^-D of the probability
         top = blocks[-1][0] + bits
         kraft = cost = 0
         kl = 0.0
-        for depth, c, _, d in summed:
+        for depth, c, _, d in blocks:
             share = 1 << (top - depth)
             kraft += share
             cost += cnum[c] * share
@@ -296,12 +259,12 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
         feasible = cost * S_den <= S_num * den
         # int / int rounds once, as float(Fraction(cost, den)) does
         trace.append(Evaluation(lam, cost / den, kl, feasible))
-        return (lay, blocks, cost, den, kl) if feasible else None
+        return (blocks, cost, den, kl) if feasible else None
 
     # found is always the probe at u, the feasible end of the bracket
     lo = u = 0.0
     iterations = 0
-    found = probe(0.0, layout)
+    found = probe(0.0)
     # spread > 0 past this probe, as equal supported costs fit at 0 or
     # raised above; lo == u == 0 skips the bisection when it is 0
     spread = (max(supported) - min(supported)) / w.den
@@ -324,13 +287,21 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
             lo = mid
         mid = 0.5 * (lo + u)
     # certify the class probe at u on the leaves themselves
-    lay, blocks, num, den, probe_kl = found
+    blocks, num, den, probe_kl = found
     cost = Fraction(num, den)
+    lengths = tuple(leaf_lengths(blocks, order, len(t)))
     d = ghc(tilt(t, w, u))
+    value = None
+    if d.lengths != lengths:
+        # ghc laid out type classes tied at u as one: the result is the
+        # probe's tree, which must reach ghc's value of kl + u * cost
+        value = kl_divergence(d, t) + u * float(average_cost_exact(d, w))
+        d = DyadicPmf(lengths)
     kl = kl_divergence(d, t)
-    if (d.lengths != tuple(leaf_lengths(blocks, lay, len(t)))
-            or average_cost_exact(d, w) != cost
-            or abs(kl - probe_kl) > KL_AGREEMENT * max(1.0, abs(kl))):
+    if (average_cost_exact(d, w) != cost
+            or abs(kl - probe_kl) > KL_AGREEMENT * max(1.0, abs(kl))
+            or value is not None and abs(kl + u * float(cost) - value)
+            > KL_AGREEMENT * max(1.0, abs(value))):
         raise RuntimeError(f"the class merge at lambda {u!r} disagrees "
                            "with ghc on the leaves")
     # capped at kl, which a probe's KL, summed per class, can exceed by an

@@ -9,29 +9,31 @@ ends up with probability zero.
 
 The merge works on classes of leaves that share a weight, and on runs of
 equal weight, as run-length Huffman coding does (Moffat and Turpin
-1998). A run is a family: a class of n leaves is one family of n blocks
-of one leaf, its n//2 pairs are one family of blocks of two consecutive
-members, and so on, so pairing a family is one step however many blocks
-it has. Only an odd block left over meets the next-heavier run under the
-drop rule, and it takes that run's first block; the merged pair is a
-single node. A family that meets another run at one weight goes back to
-the heap a block at a time, as single nodes, which the heap then pairs
-in index order. A caller whose classes tie lays them out as one class
-first, over their leaves sorted by index, so that the merge pairs that
-class as one family and puts no node per leaf on the heap: ccghc does so
-at multiplier 0, where all of the facade's k+1 type classes share one
-weight. A block target has few classes (the facade's 3^k blocks have k+1
-tilted weights), so merge_classes takes a few steps per class where
-merging the lightest two nodes at a time takes one per leaf. Nodes are
-taken in the order (weight, smallest leaf index) that the node-at-a-time
-merge uses, so both give the same tree. The weights are first scaled by
-the power of two that puts the largest in [0.5, 1). The products in the
-merge then never overflow, and whether one underflows depends on the
-weights' ratios, not on their scale: 1e-200 and 1e300 merge like 1.
+1998). The classes are laid out one after another, each over a range of
+positions, and nodes are taken in the order (weight, smallest position)
+that a node-at-a-time merge over the same layout uses, so both give the
+same tree. A run is a family: a class of n leaves is one family of n
+blocks of one leaf, its n//2 pairs are one family of blocks of two
+consecutive positions, and so on, so pairing a family is one step
+however many blocks it has. A family holds every position in its range,
+so when it is the lightest entry it holds the smallest positions at its
+weight, and its blocks pair with each other first even where another
+run shares the weight. Only an odd block left over meets the next run
+under the drop rule, and it takes that run's first block; the merged
+pair is a single node. A block target has few classes (the facade's 3^k
+blocks have k+1 tilted weights), so merge_classes takes a few steps per
+class where merging the lightest two nodes at a time takes one per leaf.
+The weights are first scaled by the power of two that puts the largest
+in [0.5, 1). The products in the merge then never overflow, and whether
+one underflows depends on the weights' ratios, not on their scale:
+1e-200 and 1e300 merge like 1.
 
 ghc groups the leaves by weight and writes each leaf's length from the
 blocks. ccghc groups them into type classes once and calls merge_classes
-at every probe, so a probe costs work per class, not per leaf. Weights
+at every probe, so a probe costs work per class, not per leaf. Where
+classes tie, the tree depends on their layout, and the two lay out
+different classes, each in order of first appearance: ghc's hold the
+leaves of one weight, ccghc's the leaves of one target and cost. Weights
 are plain float arrays, such as tilt returns; ghc and brute_force_dyadic
 check the ones they are given, ccghc's tilt checks its targets by the
 same rule (_as_weights), and merge_classes takes a list of floats.
@@ -78,7 +80,8 @@ def group_leaves(keys) -> tuple:
 
     keys lists each class's key in order of first appearance. order
     lists the leaf indices class by class, each class in index order,
-    so class c is order[starts[c]:starts[c + 1]].
+    so class c is order[starts[c]:starts[c + 1]]: this is the layout
+    that merge_classes takes, with leaf order[p] at position p.
     """
     groups: dict = {}
     for i, key in enumerate(keys):
@@ -95,70 +98,54 @@ def group_leaves(keys) -> tuple:
     return list(groups), order, starts
 
 
-def _single_nodes(family, order):
-    """A family's blocks as single nodes (weight, smallest leaf index,
-    block), in index order."""
-    v, _, c, pos, d, n = family
-    for p in range(pos, pos + (n << d), 1 << d):
-        yield v, order[p], (c, p, d)
-
-
-def merge_classes(weights, order, starts) -> list:
+def merge_classes(weights, starts) -> list:
     """The ghc merge over classes of leaves that share a weight.
 
     Arguments:
         weights: one non-negative weight per class, not all 0.
-        order, starts: each class's leaves, as group_leaves gives them.
+        starts: class c holds the layout positions starts[c] to
+            starts[c + 1] - 1, as group_leaves gives them.
 
     Returns:
         The code tree's leaves as blocks (depth, c, pos, d), by
-        increasing depth: the 2^d leaves order[pos:pos + 2^d], all of
-        class c, each get codeword length depth + d. A leaf in no block
-        is dropped. The lengths are the ones the node-at-a-time merge
-        gives the leaves, each with its class's weight. A class whose
-        weight another run shares goes back to the heap a block at a
-        time, which costs a heap entry per block, at first one per
-        leaf; a caller whose classes tie does better to pass them as one
-        class.
+        increasing depth: the 2^d positions pos to pos + 2^d - 1, all of
+        class c, each get codeword length depth + d. A position in no
+        block is dropped. The lengths are the ones the node-at-a-time
+        merge gives the positions, each with its class's weight, when it
+        breaks ties by the smallest position in a node.
     """
     shift = -frexp(max(weights))[1]
-    # the heap holds (weight, smallest leaf index, ...) entries of two
-    # kinds. A family (c, pos, d, n) is n blocks of 2^d consecutive
-    # members of class c, from order[pos] on, in index order. A single
-    # node holds one subtree, a block (c, pos, d) or a (left, right)
-    # pair.
+    # the heap holds (weight, smallest position, ...) entries of two
+    # kinds. A family (c, d, n) is n blocks of 2^d consecutive positions
+    # of class c, from its own on. A single node holds one subtree, a
+    # block (c, pos, d) or a (left, right) pair. A family holds every
+    # position in its range, so a popped family holds the smallest
+    # positions at its weight
     heap = []
     for c, v in enumerate(weights):
         v = ldexp(v, shift)
         if v > 0:
-            pos = starts[c]
-            heap.append((v, order[pos], c, pos, 0, starts[c + 1] - pos))
+            heap.append((v, starts[c], c, 0, starts[c + 1] - starts[c]))
     if not heap:
         raise ValueError("weights must have at least one positive entry")
     heapify(heap)
     while True:
         run = heappop(heap)
-        v, i = run[0], run[1]
-        if len(run) == 6:
-            _, _, c, pos, d, n = run
+        v, pos = run[0], run[1]
+        if len(run) == 5:
+            _, _, c, d, n = run
             if n > 1:
-                if heap and heap[0][0] == v:
-                    # another run shares the weight: the blocks go back
-                    # as single nodes, which the heap takes in index order
-                    for node in _single_nodes(run, order):
-                        heappush(heap, node)
-                    continue
                 # the lightest two nodes are the first two blocks, then
                 # the next two: each merged node is heavier than the rest
-                heappush(heap, (2.0 * sqrt(v * v), i, c, pos, d + 1, n >> 1))
+                heappush(heap, (2.0 * sqrt(v * v), pos, c, d + 1, n >> 1))
                 if not n & 1:
                     continue
                 pos += (n - 1) << d
-                i = order[pos]
             a = (c, pos, d)
         else:
             a = run[2]
-        # a lone node meets the lowest-index node of the next-heavier run
+        # a lone node meets the next node on the heap, the first block of
+        # the next run
         if not heap:
             break
         heavier = heap[0]
@@ -166,16 +153,15 @@ def merge_classes(weights, order, starts) -> list:
         if u >= 4.0 * v:
             # keeping the small node cannot pay for the extra depth
             continue
-        if len(heavier) == 6:
-            _, _, c, pos, d, n = heavier
-            b = (c, pos, d)
-            pos += 1 << d
-            rest = (u, order[pos], c, pos, d, n - 1) if n > 1 else None
+        if len(heavier) == 5:
+            _, _, c, d, n = heavier
+            b = (c, j, d)
+            rest = (u, j + (1 << d), c, d, n - 1) if n > 1 else None
         else:
             b, rest = heavier[2], None
-        if j < i:
-            i = j
-        merged = (2.0 * sqrt(v * u), i, (a, b))
+        if j < pos:
+            pos = j
+        merged = (2.0 * sqrt(v * u), pos, (a, b))
         if rest:
             heapreplace(heap, rest)
             heappush(heap, merged)
@@ -198,7 +184,8 @@ def merge_classes(weights, order, starts) -> list:
 
 def leaf_lengths(blocks, order, size: int) -> list:
     """The codeword lengths of leaves 0..size-1 from the blocks that
-    merge_classes returns over order, None for a dropped leaf."""
+    merge_classes returns, with leaf order[p] at position p, None for a
+    dropped leaf."""
     lengths: list = [None] * size
     for depth, _, pos, d in blocks:
         for i in order[pos:pos + (1 << d)]:
@@ -217,17 +204,18 @@ def ghc(x) -> DyadicPmf:
         DyadicPmf with one length per input entry; zero-weight entries
         (and dropped subtrees) get probability 0.
 
-    Ties on the minimum weight are broken toward the lowest original
-    symbol index, and a merged node inherits the smallest index in its
-    subtree, so the output is deterministic. Equal weights are merged a
-    run at a time, pairing the run's nodes in index order, which keeps
-    that tie rule. The weights are scaled by a power of two first, so
+    Ties on the minimum weight are broken by position in the class
+    layout, classes in first-appearance order, each in index order, and
+    a merged node inherits the smallest position in its subtree, so the
+    output is deterministic. Equal weights are merged a run at a time,
+    pairing the run's nodes in position order, which keeps that tie
+    rule. The weights are scaled by a power of two first, so
     ghc(c * x) equals ghc(x) for a power of two c whenever c * x is
     exact (no entry overflows or loses bits to underflow).
     """
     x = _as_weights(x)
     weights, order, starts = group_leaves(x.tolist())
-    blocks = merge_classes(weights, order, starts)
+    blocks = merge_classes(weights, starts)
     return DyadicPmf(tuple(leaf_lengths(blocks, order, len(x))))
 
 

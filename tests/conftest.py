@@ -7,7 +7,6 @@ terminal summary prints one PASS/FAIL line per criterion so the whole
 contract is visible at a glance.
 """
 import heapq
-import importlib
 import math
 from dataclasses import replace
 
@@ -16,8 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from dymatch import (CcGhcResult, CostVector, DyadicPmf, Pmf,
-                     as_fraction, average_cost_exact, ghc, kl_divergence,
-                     tilt)
+                     as_fraction, average_cost_exact, kl_divergence, tilt)
 from dymatch.ccghc import KL_AGREEMENT, WIDTH, Evaluation
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 from dymatch.ghc import _as_weights, merge_classes
@@ -102,14 +100,27 @@ def seeded_instances():
         yield t, w, k, k * max(S, min(w.exact))
 
 
-def heap_ghc(x) -> DyadicPmf:
+def class_layout(keys) -> list:
+    """The leaf indices in class layout order: classes of equal key in
+    order of first appearance, each in index order."""
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return sorted(range(len(keys)), key=lambda i: (first[keys[i]], i))
+
+
+def heap_ghc(x, layout=None) -> DyadicPmf:
     """ghc as one heap operation per node: pop the lightest two by
-    (weight, smallest leaf index), drop the lighter at 4x, else push
-    their merge. Its products overflow or underflow for weights far
-    from 1 (1e300 or 1e-200), so it is the oracle only in between."""
+    (weight, smallest position in layout), drop the lighter at 4x, else
+    push their merge. layout lists the leaf indices by position; by
+    default the leaves of one weight form a class, as in ghc. Its
+    products overflow or underflow for weights far from 1 (1e300 or
+    1e-200), so it is the oracle only in between."""
     w = _as_weights(x)
     m = len(w)
-    heap = [(float(w[i]), i, i) for i in range(m) if w[i] > 0]
+    if layout is None:
+        layout = class_layout(w.tolist())
+    heap = [(float(w[i]), p, i) for p, i in enumerate(layout) if w[i] > 0]
     heapq.heapify(heap)
     while len(heap) > 1:
         wa, ta, a = heapq.heappop(heap)
@@ -134,15 +145,17 @@ def heap_ghc(x) -> DyadicPmf:
 
 def _recomputing_ccghc(t, w, S):
     # the earlier ccghc: the same bisection, which stops below WIDTH
-    # times max(u, 1 / spread), then ghc, the exact cost and KL computed
-    # once more at the feasible end of the bracket. Its probes take the
-    # KL with kl_divergence on the leaves
+    # times max(u, 1 / spread), then the merge, the exact cost and KL
+    # computed once more at the feasible end of the bracket. It merges
+    # the leaves a node at a time over the type-class layout, and its
+    # probes take the KL with kl_divergence on the leaves
     S_exact = as_fraction(S)
     budget = float(S_exact)
+    layout = class_layout(list(zip(t.probs.tolist(), w.nums)))
     trace = []
 
     def probe(lam):
-        d = ghc(tilt(t, w, lam))
+        d = heap_ghc(tilt(t, w, lam), layout)
         cost = average_cost_exact(d, w)
         feasible = cost <= S_exact
         trace.append(Evaluation(lam, float(cost), kl_divergence(d, t),
@@ -150,7 +163,7 @@ def _recomputing_ccghc(t, w, S):
         return feasible
 
     def result(lam, iterations, bracket):
-        d = ghc(tilt(t, w, lam))
+        d = heap_ghc(tilt(t, w, lam), layout)
         cost = average_cost_exact(d, w)
         kl = kl_divergence(d, t)
         bound = max(e.kl + e.lam * (e.cost - budget) for e in trace)
@@ -198,22 +211,9 @@ def expand_blocks(weights, order, starts) -> tuple:
     0..len(order)-1 (None if dropped), checking that every block lies
     inside its class and that no leaf is in two blocks."""
     lengths: list = [None] * len(order)
-    for depth, c, pos, d in merge_classes(weights, order, starts):
+    for depth, c, pos, d in merge_classes(weights, starts):
         assert starts[c] <= pos and pos + (1 << d) <= starts[c + 1]
         for i in order[pos:pos + (1 << d)]:
             assert lengths[i] is None
             lengths[i] = depth + d
     return tuple(lengths)
-
-
-def record_sent_back(monkeypatch) -> list:
-    """Hook the tie path of ghc's merge core: (class, block count) of
-    each family that a tie sends back to the heap a block at a time."""
-    module = importlib.import_module("dymatch.ghc")
-    sent: list = []
-    single_nodes = module._single_nodes
-    monkeypatch.setattr(module, "_single_nodes",
-                        lambda family, order: sent.append(
-                            (family[2], family[5]))
-                        or single_nodes(family, order))
-    return sent

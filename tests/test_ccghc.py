@@ -1,4 +1,5 @@
 """Cost-constrained search: bisection on the tilted target."""
+import hashlib
 import importlib
 import itertools
 from fractions import Fraction
@@ -13,8 +14,8 @@ from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
 from dymatch.ghc import _kraft_multisets, group_leaves, merge_classes
 from dymatch.pmf import _probs_of
 from conftest import (_recomputing_ccghc, assert_matches_oracle,
-                      expand_blocks, heap_ghc, random_costs, random_pmf,
-                      record_sent_back)
+                      class_layout, expand_blocks, heap_ghc, random_costs,
+                      random_pmf)
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 
@@ -237,11 +238,11 @@ class TestPreparedTilt:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_facade(self, monkeypatch, k):
         pairs = self._probe_weights(monkeypatch, *facade_instance(k))
-        # at lambda 0 every class has one weight, and the classes are
-        # laid out as one before the merge
-        got, want = pairs[0]
-        assert got == list(dict.fromkeys(want)) == want[:1]
-        for got, want in pairs[1:]:
+        # at lambda 0 the k + 1 classes share one weight, and the merge
+        # gets them as they were grouped
+        got, _ = pairs[0]
+        assert len(got) == k + 1 and len(set(got)) == 1
+        for got, want in pairs:
             assert got == want
 
     def test_tilt_is_the_prepared_tilt(self):
@@ -302,46 +303,23 @@ class TestRecomputationOracle:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("S", ["0.3", "0.6", "0.9", "1.2"])
-    def test_joined_classes(self, monkeypatch, k, S):
+    def test_joined_classes(self, k, S):
         # costs 0..3 on a uniform target: for k >= 2 some probe at
-        # lam > 0 pairs a run onto the weight of a cheaper type class,
-        # and the merge sends one of the two back a block at a time (at
-        # k = 1 every class has one member, so nothing is paired)
+        # lam > 0 pairs a run onto the weight of a cheaper type class
         t = kronecker_pmf(Pmf.uniform(4), k)
         w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
         S = k * as_fraction(S)
-        want = _recomputing_ccghc(t, w, S)
-        tied = []
-
-        def merge(*args):
-            # whether this probe's merge sent a family back
-            before = len(sent)
-            merged = merge_classes(*args)
-            tied.append(len(sent) > before)
-            return merged
-
-        with monkeypatch.context() as m:
-            sent = record_sent_back(m)
-            m.setattr(CCGHC_MODULE, "merge_classes", merge)
-            got = ccghc(t, w, S)
-        assert_matches_oracle(got, want)
-        assert any(j for j, e in zip(tied, got.trace) if e.lam > 0) \
-            == (k > 1)
+        assert_matches_oracle(ccghc(t, w, S), _recomputing_ccghc(t, w, S))
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_dyadic_cascade(self, monkeypatch, k):
+    def test_dyadic_cascade(self, k):
         # (1/2, 1/4, 1/4)^k at the facade's costs and budget: the targets
         # are powers of two, so pairs of one class land on the weights of
-        # others, at lam = 0 after the layout too, and from k = 2 on the
-        # solve's merges send families back
+        # others
         t = kronecker_pmf(Pmf([0.5, 0.25, 0.25]), k)
         w = kronecker_cost(W3, k)
         S = k * as_fraction("0.2063")
-        with monkeypatch.context() as m:
-            sent = record_sent_back(m)
-            got = ccghc(t, w, S)
-        assert_matches_oracle(got, _recomputing_ccghc(t, w, S))
-        assert bool(sent) == (k > 1)
+        assert_matches_oracle(ccghc(t, w, S), _recomputing_ccghc(t, w, S))
 
     @pytest.fixture
     def merges(self, monkeypatch):
@@ -359,12 +337,14 @@ class TestRecomputationOracle:
         # one class merge per probe, each the leaf merge of its tilt, and
         # one ghc on the leaves to certify the result
         t, w, S = facade_instance(k)
+        _, order, _ = group_leaves(zip(t.probs.tolist(), w.nums))
         res = ccghc(t, w, S)
         assert len(merges["merge_classes"]) == len(res.trace)
         assert len(merges["ghc"]) == 1
-        for args, probe in zip(merges["merge_classes"], res.trace):
-            assert expand_blocks(*args) \
-                == heap_ghc(tilt(t, w, probe.lam)).lengths
+        for (weights, starts), probe in zip(merges["merge_classes"],
+                                            res.trace):
+            assert expand_blocks(weights, order, starts) \
+                == heap_ghc(tilt(t, w, probe.lam), order).lengths
         if k == 7:
             assert len(merges["merge_classes"]) == 37
 
@@ -383,10 +363,29 @@ class TestRecomputationOracle:
         with pytest.raises(ValueError, match="Kraft sum"):
             ccghc(*facade_instance(2))
 
-    def test_disagreement_with_ghc_raises(self, monkeypatch):
-        # the result is certified by ghc on the leaves at lambda_star
-        monkeypatch.setattr(CCGHC_MODULE, "ghc",
-                            lambda x: ghc(np.flip(x)))
+    def test_length_moved_between_weights_raises(self, monkeypatch):
+        # a class tree that swaps the lengths of two leaves of different
+        # tilted weight disagrees with ghc on the leaves at lambda_star
+        t, w, S = facade_instance(2)
+        lam = ccghc(t, w, S).lambda_star
+        x = tilt(t, w, lam)
+        lengths = list(ghc(x).lengths)
+        i, j = next((i, j) for i, j in itertools.combinations(range(9), 2)
+                    if x[i] != x[j] and lengths[i] != lengths[j])
+        lengths[i], lengths[j] = lengths[j], lengths[i]
+        monkeypatch.setattr(CCGHC_MODULE, "leaf_lengths",
+                            lambda *args: lengths)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            ccghc(t, w, S)
+
+    def test_other_class_tree_raises(self, monkeypatch):
+        # a class merge on the wrong weights gives a tree whose cost and
+        # KL sum consistently, but whose kl + lambda_star * cost is above
+        # that of ghc on the leaves
+        def heavier_first(weights, starts):
+            return merge_classes([4.0 * weights[0], *weights[1:]], starts)
+
+        monkeypatch.setattr(CCGHC_MODULE, "merge_classes", heavier_first)
         with pytest.raises(RuntimeError, match="disagrees"):
             ccghc(*facade_instance(2))
 
@@ -400,19 +399,98 @@ class TestRecomputationOracle:
     def test_zero_targets_are_no_tie(self, merges):
         # zeros on symbols of different costs: at k = 2 several type
         # classes have target 0 and tilt to 0 at every probe. No leaf of
-        # theirs gets a codeword, so that tie is no reason to lay the
-        # classes out again: every probe merges them as ccghc grouped them
+        # theirs gets a codeword, and every probe merges the classes as
+        # ccghc grouped them
         t = kronecker_pmf(Pmf([0.6, 0.0, 0.4, 0.0]), 2)
         w = kronecker_cost(CostVector([1, 2, 3, 0]), 2)
-        keys, order, starts = group_leaves(zip(t.probs.tolist(), w.nums))
+        keys, _, starts = group_leaves(zip(t.probs.tolist(), w.nums))
         assert len({n for p, n in keys if p == 0}) > 1
         got = ccghc(t, w, "2.8")
         assert got.iterations > 0
         assert len(merges["merge_classes"]) == len(got.trace)
-        for weights, got_order, got_starts in merges["merge_classes"]:
+        for weights, got_starts in merges["merge_classes"]:
             assert len(weights) == len(keys)
-            assert got_order == order and got_starts == starts
+            assert got_starts == starts
         assert_matches_oracle(got, _recomputing_ccghc(t, w, "2.8"))
+
+
+class TestTieAtLambdaStar:
+    """Where type classes tie at lambda_star, ghc on the leaves lays them
+    out as one class in index order and the probe as grouped, so the two
+    can give different trees of one Lagrangian value. The result is the
+    probe's tree, whose feasibility the search decided."""
+
+    T = kronecker_pmf(Pmf.uniform(5), 2)
+    W = kronecker_cost(CostVector([0, 1, 2, 3, 4]), 2)
+
+    def test_class_tree_within_budget(self):
+        # at lambda 0 all 25 leaves tie; the class tree costs 145/32, the
+        # tree of ghc on the leaves 143/32
+        S = Fraction(175, 32)
+        got = ccghc(self.T, self.W, S)
+        assert got.lambda_star == 0.0
+        layout = class_layout(list(zip(self.T.probs.tolist(), self.W.nums)))
+        assert got.d.lengths == heap_ghc(tilt(self.T, self.W, 0.0),
+                                         layout).lengths
+        assert got.d.lengths != ghc(tilt(self.T, self.W, 0.0)).lengths
+        assert got.cost_exact == average_cost_exact(got.d, self.W) \
+            == Fraction(145, 32) <= S
+        assert got.kl == kl_divergence(got.d, self.T)
+        assert_matches_oracle(got, _recomputing_ccghc(self.T, self.W, S))
+
+    def test_class_tree_over_budget(self):
+        # between the two trees' costs the class tree at lambda 0 is
+        # infeasible, and the search bisects to just above 0, where the
+        # classes no longer tie, for a cheaper tree of the same KL
+        got = ccghc(self.T, self.W, Fraction(143, 32))
+        assert 0.0 < got.lambda_star < 1e-10
+        assert got.cost_exact == Fraction(111, 32)
+        assert got.kl == ccghc(self.T, self.W, Fraction(175, 32)).kl
+
+    def test_tie_across_weights(self):
+        # targets (1, 2, 1, 1, 1) / 6 tie at lambda 0 over costs 0 and 1.
+        # ghc on the leaves pairs the 1/6 leaves (0, 2) and (3, 4), and
+        # leaf 1 takes the pair of pairs. The class merge pairs (0, 2),
+        # which takes leaf 1, and (3, 4) takes that. The 1/6 leaves get
+        # lengths (3, 3, 3, 3) from one and (3, 3, 2, 2) from the other,
+        # at one KL
+        t = Pmf([1 / 6, 2 / 6, 1 / 6, 1 / 6, 1 / 6])
+        w = CostVector([0, 0, 1, 1, 1])
+        got = ccghc(t, w, "10")
+        assert got.lambda_star == 0.0
+        assert ghc(t).lengths == (3, 1, 3, 3, 3)
+        assert got.d.lengths == (3, 2, 3, 2, 2)
+        want = kl_divergence(ghc(t), t)
+        assert got.kl == pytest.approx(want, abs=1e-15)
+        assert_matches_oracle(got, _recomputing_ccghc(t, w, "10"))
+
+
+class TestFacadeTrace:
+    """On the facade only the first probe, at lambda 0, depends on how
+    the merge breaks ties: there the k + 1 type classes share one weight.
+    It stays infeasible, and every later probe, the result and its dual
+    bound are what the merge keyed by leaf index gave."""
+
+    # the first probe's cost at k = 1..10
+    FIRST_COST = {1: 0.245, 2: 0.4575, 3: 0.694375, 4: 0.92109375,
+                  5: 1.1315625, 6: 1.380625, 7: 1.57916015625,
+                  8: 1.832666015625, 9: 2.0493792724609374,
+                  10: 2.266493225097656}
+    # sha256 over repr((trace[1:], dual_bound)) at k = 1..10, recorded
+    # with the merge keyed by leaf index
+    REST_SHA256 = ("e87584e6397dcab39b9d8c9ee3b0f4a3"
+                   "c1f51d9835483001578b462c700eb3ba")
+
+    def test_facade(self):
+        digest = hashlib.sha256()
+        for k, cost in self.FIRST_COST.items():
+            t, w, S = facade_instance(k)
+            res = ccghc(t, w, S)
+            first = res.trace[0]
+            assert (first.lam, first.cost, first.feasible) == (0.0, cost,
+                                                               False)
+            digest.update(repr((res.trace[1:], res.dual_bound)).encode())
+        assert digest.hexdigest() == self.REST_SHA256
 
 
 class TestDualBound:

@@ -25,7 +25,9 @@ print(f"costs {SLAT_COSTS.costs} per symbol, slot width {SLOT_WIDTH}\n")
 # gives the wide slat the short codeword and costs 0.245, so multiplier 0
 # is infeasible. Any positive multiplier breaks that tie toward the cheap
 # slats, (2, 1, 2) at cost 0.2125, so lambda* is the smallest multiplier
-# the bisection resolves and prints as 0.000000.
+# the bisection resolves and prints as 0.000000. Both trees have the same
+# KL, so their lines of the dual meet at 0, and the search probes only
+# 0, 1 and lambda*, though it counts all 30 halvings.
 report("0.2233")
 
 # The facade budget: 33% shadowing. Single symbols offer nothing between

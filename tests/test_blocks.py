@@ -276,7 +276,7 @@ class TestAchievability:
 
 class TestLagrangianDominanceOnTrace:
     def test_probes_beat_chord_point(self, facade_t, facade_w):
-        # each bisection probe minimizes its own Lagrangian over all
+        # each probe minimizes its own Lagrangian over all
         # dyadic pmfs, so the chord-tilt point can never improve on it
         k = 2
         tk = kronecker_pmf(facade_t, k)

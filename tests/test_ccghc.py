@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
                      average_cost_exact, as_fraction, brute_force_dyadic,
@@ -13,9 +15,10 @@ from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
                      kronecker_pmf, solve_simplex, tilt)
 from dymatch.ghc import _kraft_multisets, group_leaves, merge_classes
 from dymatch.pmf import _probs_of
-from conftest import (_recomputing_ccghc, assert_matches_oracle,
+import conftest
+from conftest import (assert_matches_oracle, assert_same_as_bisection,
                       class_layout, expand_blocks, heap_ghc, random_costs,
-                      random_pmf)
+                      random_pmf, random_small_round)
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 
@@ -84,6 +87,9 @@ class TestCcghc:
         assert res.cost_exact == Fraction(17, 80)  # 0.2125
         assert res.kl == pytest.approx(float(np.log2(3)) - 1.5, abs=1e-12)
         assert res.lambda_star < 1e-8
+        # the probe at 1 has the same KL as the one at 0, so its line
+        # meets that of 0 at 0: probes at 0, 1 and lambda_star
+        assert len(res.trace) <= 4
 
     def test_budget_above_ghc_cost_skips_bisection(self):
         res = ccghc(T3, W3, "0.245")
@@ -254,7 +260,8 @@ class TestPreparedTilt:
                 assert np.array_equal(tilt(t, w, lam), want)
 
     def test_one_tilt_per_solve(self, monkeypatch):
-        # one tilt of the class targets, one of the leaves to certify
+        # one tilt of the class targets for all the probes, one of the
+        # leaves to certify
         made = []
 
         class Counted(CCGHC_MODULE._Tilt):
@@ -265,7 +272,7 @@ class TestPreparedTilt:
         monkeypatch.setattr(CCGHC_MODULE, "_Tilt", Counted)
         t, w, S = facade_instance(4)
         res = ccghc(t, w, S)
-        assert len(res.trace) > 30
+        assert len(res.trace) > 5
         assert made == [5, 81]
 
     def test_one_kl_divergence_per_solve(self, monkeypatch):
@@ -292,14 +299,14 @@ class TestRecomputationOracle:
         bisected = 0
         for t, w, S in seeded_instances():
             got = ccghc(t, w, S)
-            assert_matches_oracle(got, _recomputing_ccghc(t, w, S))
+            assert_matches_oracle(got, t, w, S)
             bisected += got.iterations > 0
         assert bisected > 50
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_facade(self, k):
         t, w, S = facade_instance(k)
-        assert_matches_oracle(ccghc(t, w, S), _recomputing_ccghc(t, w, S))
+        assert_matches_oracle(ccghc(t, w, S), t, w, S)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("S", ["0.3", "0.6", "0.9", "1.2"])
@@ -309,7 +316,7 @@ class TestRecomputationOracle:
         t = kronecker_pmf(Pmf.uniform(4), k)
         w = kronecker_cost(CostVector([0, 1, 2, 3]), k)
         S = k * as_fraction(S)
-        assert_matches_oracle(ccghc(t, w, S), _recomputing_ccghc(t, w, S))
+        assert_matches_oracle(ccghc(t, w, S), t, w, S)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dyadic_cascade(self, k):
@@ -319,7 +326,7 @@ class TestRecomputationOracle:
         t = kronecker_pmf(Pmf([0.5, 0.25, 0.25]), k)
         w = kronecker_cost(W3, k)
         S = k * as_fraction("0.2063")
-        assert_matches_oracle(ccghc(t, w, S), _recomputing_ccghc(t, w, S))
+        assert_matches_oracle(ccghc(t, w, S), t, w, S)
 
     @pytest.fixture
     def merges(self, monkeypatch):
@@ -346,7 +353,7 @@ class TestRecomputationOracle:
             assert expand_blocks(weights, order, starts) \
                 == heap_ghc(tilt(t, w, probe.lam), order).lengths
         if k == 7:
-            assert len(merges["merge_classes"]) == 37
+            assert len(merges["merge_classes"]) == 8
 
     def test_one_ghc_merge_without_bisection(self, merges):
         res = ccghc(T3, W3, "0.245")
@@ -411,7 +418,7 @@ class TestRecomputationOracle:
         for weights, got_starts in merges["merge_classes"]:
             assert len(weights) == len(keys)
             assert got_starts == starts
-        assert_matches_oracle(got, _recomputing_ccghc(t, w, "2.8"))
+        assert_matches_oracle(got, t, w, "2.8")
 
 
 class TestTieAtLambdaStar:
@@ -436,16 +443,21 @@ class TestTieAtLambdaStar:
         assert got.cost_exact == average_cost_exact(got.d, self.W) \
             == Fraction(145, 32) <= S
         assert got.kl == kl_divergence(got.d, self.T)
-        assert_matches_oracle(got, _recomputing_ccghc(self.T, self.W, S))
+        assert_matches_oracle(got, self.T, self.W, S)
 
     def test_class_tree_over_budget(self):
         # between the two trees' costs the class tree at lambda 0 is
         # infeasible, and the search bisects to just above 0, where the
         # classes no longer tie, for a cheaper tree of the same KL
         got = ccghc(self.T, self.W, Fraction(143, 32))
-        assert 0.0 < got.lambda_star < 1e-10
+        assert got.lambda_star == 2.0 ** -36
         assert got.cost_exact == Fraction(111, 32)
         assert got.kl == ccghc(self.T, self.W, Fraction(175, 32)).kl
+        # a probe's line meets that of lambda 0 at 0, so the bisection's
+        # 36 halvings down to 2^-36 need no probe until lambda_star
+        assert got.iterations == 36
+        assert len(got.trace) <= 6
+        assert_same_as_bisection(got, self.T, self.W, Fraction(143, 32))
 
     def test_tie_across_weights(self):
         # targets (1, 2, 1, 1, 1) / 6 tie at lambda 0 over costs 0 and 1.
@@ -462,14 +474,114 @@ class TestTieAtLambdaStar:
         assert got.d.lengths == (3, 2, 3, 2, 2)
         want = kl_divergence(ghc(t), t)
         assert got.kl == pytest.approx(want, abs=1e-15)
-        assert_matches_oracle(got, _recomputing_ccghc(t, w, "10"))
+        assert_matches_oracle(got, t, w, "10")
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Block instances with many ties: 2-5 symbols of costs from
+    {0, 1, 2, 3} or {0.1, 0.2, 0.3}, target weights from {1, 2, 4} or
+    {1, 2, 3} with some 0, blocklength 1-3, and a budget on a grid of 32
+    steps from the cheapest supported block cost to the costliest."""
+    m = draw(st.integers(2, 5))
+    costs = draw(st.sampled_from([(0, 1, 2, 3), ("0.1", "0.2", "0.3")]))
+    weights = draw(st.sampled_from([(1, 2, 4), (1, 2, 3)]))
+    w = CostVector(draw(st.lists(st.sampled_from(costs), min_size=m,
+                                 max_size=m)))
+    x = draw(st.lists(st.sampled_from((0,) + weights), min_size=m,
+                      max_size=m).filter(any))
+    k = draw(st.integers(1, 3))
+    lo = min(c for c, v in zip(w.exact, x) if v > 0)
+    step = draw(st.integers(0, 32))
+    S = k * (lo + (max(w.exact) - lo) * Fraction(step, 32))
+    t = Pmf(np.array(x, dtype=float) / sum(x))
+    return kronecker_pmf(t, k), kronecker_cost(w, k), S
+
+
+class TestBisectionOracle:
+    """ccghc gives the result of the bisection that probes every midpoint
+    (conftest.bisecting_ccghc): the same to_dict() and cost_exact. Each
+    probe it runs is the bisection's probe at that multiplier, and its
+    dual bound is no lower."""
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_facade(self, k):
+        t, w, S = facade_instance(k)
+        assert_same_as_bisection(ccghc(t, w, S), t, w, S)
+
+    def test_seeded_instances(self):
+        for t, w, S in seeded_instances():
+            assert_same_as_bisection(ccghc(t, w, S), t, w, S)
+
+    def test_random_small_round(self):
+        for t, w, S in random_small_round():
+            assert_same_as_bisection(ccghc(t, w, S), t, w, S)
+
+    # a random-small-like instance at blocklength 2 (target, costs in
+    # 1/10000 and the per-symbol budget) whose x lands below lambda_star
+    LOW_X = ([0.13460948303042627, 0.37926025884715175, 0.02134342750720559,
+              0.001980920175273853, 0.20254724950779432, 0.17703656600429882,
+              0.05081072424306935, 0.032411370684780026],
+             [4404, 2748, 5584, 1601, 4722, 6735, 7345, 7329],
+             Fraction(198, 625))
+
+    @pytest.mark.parametrize("end", ["u", "lo"])
+    def test_wrong_side_taken_from_x(self, end):
+        # instances whose probes' lines are nearly parallel near
+        # lambda_star, so that x lands too far from it: the final
+        # bracket's u is infeasible (LOW_X) or its lo feasible (the only
+        # such instance in random-small seeds 1-40, seed 25), and the
+        # search bisects again, probing every midpoint
+        if end == "u":
+            x, cents, S = self.LOW_X
+            w = CostVector([Fraction(c, 10000) for c in cents])
+            t, w, S = kronecker_pmf(Pmf(x), 2), kronecker_cost(w, 2), 2 * S
+        else:
+            t, w, S = next(itertools.islice(random_small_round(25), 611,
+                                            None))
+        got = ccghc(t, w, S)
+        want = assert_same_as_bisection(got, t, w, S)
+        assert {e.lam for e in want.trace} < {e.lam for e in got.trace}
+
+    @given(tie_heavy_instances())
+    def test_tie_heavy(self, instance):
+        # a probe at a multiplier the bisection does not probe is where
+        # the lines of two earlier probes, one infeasible and one
+        # feasible, cross. With no probe repeated, ccghc never probes
+        # more than the bisection plus those crossings
+        t, w, S = instance
+        got = ccghc(t, w, S)
+        want = assert_same_as_bisection(got, t, w, S)
+        bisected = {e.lam for e in want.trace}
+        for i, e in enumerate(got.trace):
+            if e.lam not in bisected:
+                assert any((b.kl - a.kl) / (a.cost - b.cost) == e.lam
+                           for a in got.trace[:i] if not a.feasible
+                           for b in got.trace[:i]
+                           if b.feasible and a.cost > b.cost)
+
+
+class TestProbeCount:
+    """The probes ccghc runs: the bracket's, the dual's crossings and the
+    ends of the final bracket, where the bisection probes 34-38 times."""
+
+    def test_facade(self):
+        for k in range(1, 11):
+            res = ccghc(*facade_instance(k))
+            assert len(res.trace) <= 10, k
+
+    def test_random_small_round(self):
+        probes = [len(ccghc(t, w, S).trace)
+                  for t, w, S in random_small_round()]
+        assert np.mean(probes) <= 9
 
 
 class TestFacadeTrace:
     """On the facade only the first probe, at lambda 0, depends on how
     the merge breaks ties: there the k + 1 type classes share one weight.
-    It stays infeasible, and every later probe, the result and its dual
-    bound are what the merge keyed by leaf index gave."""
+    It stays infeasible. The later probes and the dual bound are pinned
+    by a digest; TestBisectionOracle checks each probe against the
+    bisection's probe at its multiplier."""
 
     # the first probe's cost at k = 1..10
     FIRST_COST = {1: 0.245, 2: 0.4575, 3: 0.694375, 4: 0.92109375,
@@ -477,9 +589,10 @@ class TestFacadeTrace:
                   8: 1.832666015625, 9: 2.0493792724609374,
                   10: 2.266493225097656}
     # sha256 over repr((trace[1:], dual_bound)) at k = 1..10, recorded
-    # with the merge keyed by leaf index
-    REST_SHA256 = ("e87584e6397dcab39b9d8c9ee3b0f4a3"
-                   "c1f51d9835483001578b462c700eb3ba")
+    # with the search that probes the dual's crossings and predicts the
+    # bisection's midpoints
+    REST_SHA256 = ("68ac723e61f903750b1a4729b2c51388"
+                   "0db2f834ab34e007a1206d109fafc1c0")
 
     def test_facade(self):
         digest = hashlib.sha256()
@@ -538,14 +651,17 @@ class TestFloatResolution:
         t, w, S = facade_instance(3)
         default = ccghc(t, w, S)
         monkeypatch.setattr(CCGHC_MODULE, "WIDTH", 0.0)
+        monkeypatch.setattr(conftest, "WIDTH", 0.0)
         res = ccghc(t, w, S)
         lo, u = res.bracket
         assert u == np.nextafter(lo, np.inf)
         assert res.lambda_star == u
         assert res.d.lengths == default.d.lengths
-        lams = [e.lam for e in res.trace]
-        assert len(set(lams)) == len(lams)
-        assert res.iterations == len(lams) - 6  # probes 0, 1, 2, 4, 8, 16
+        # the bisection that probes every midpoint probes each once, and
+        # ccghc makes its halvings with fewer probes, none repeated
+        want = assert_same_as_bisection(res, t, w, S)
+        assert want.iterations == len(want.trace) - 6  # 0, 1, 2, 4, 8, 16
+        assert len(res.trace) < len(want.trace)
 
 
 class TestUnitFree:

@@ -13,8 +13,9 @@ from dymatch import (CostVector, Pmf, as_fraction, brute_force_dyadic,
                      kronecker_pmf, tilt)
 from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
 from dymatch.ghc import group_leaves, merge_classes
-from conftest import (_recomputing_ccghc, assert_matches_oracle,
-                      expand_blocks, heap_ghc, seeded_instances)
+import conftest
+from conftest import (assert_matches_oracle, bisecting_ccghc, expand_blocks,
+                      heap_ghc, seeded_instances)
 
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
 LOG2_3 = float(np.log2(3))
@@ -138,10 +139,11 @@ def _type_classes(t, w) -> tuple:
             order, starts)
 
 
-def _record_merges(monkeypatch) -> list:
-    """Hook ccghc's class merges: the arguments of each call."""
+def _record_merges(monkeypatch, module=CCGHC_MODULE) -> list:
+    """Hook the class merges of ccghc, or of another module's search:
+    the arguments of each call."""
     merges: list = []
-    monkeypatch.setattr(CCGHC_MODULE, "merge_classes",
+    monkeypatch.setattr(module, "merge_classes",
                         lambda *args: merges.append(args)
                         or merge_classes(*args))
     return merges
@@ -301,20 +303,25 @@ class TestAgainstHeapMerge:
 
     @staticmethod
     def _check_probes(monkeypatch, t, w, k, S) -> int:
-        """Run ccghc with every probe's class merge expanded to leaves and
-        checked against heap_ghc on the leaf tilt over the type-class
-        layout; return the probes."""
+        """Run ccghc, and the bisection that probes every midpoint
+        (conftest.bisecting_ccghc), with every probe's class merge
+        expanded to leaves and checked against heap_ghc on the leaf tilt
+        over the type-class layout; return the bisection's probes."""
         tk, wk = kronecker_pmf(t, k), kronecker_cost(w, k)
         _, _, order, starts = _type_classes(tk, wk)
         with monkeypatch.context() as m:
             merges = _record_merges(m)
             res = ccghc(tk, wk, S)
+            bisected = _record_merges(m, conftest)
+            want = bisecting_ccghc(tk, wk, S)
         assert len(merges) == len(res.trace)
-        for (weights, got_starts), probe in zip(merges, res.trace):
+        assert len(bisected) == len(want.trace)
+        for (weights, got_starts), probe in zip(merges + bisected,
+                                                res.trace + want.trace):
             assert got_starts == starts
             assert expand_blocks(weights, order, starts) \
                 == heap_ghc(tilt(tk, wk, probe.lam), order).lengths
-        return len(merges)
+        return len(bisected)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_facade_probes(self, monkeypatch, k):
@@ -423,4 +430,4 @@ class TestJoins:
         S = (min(w.exact) + as_fraction(float(np.dot(t.probs, w.costs)))) / 2
         got = ccghc(t, w, S)
         assert got.iterations > 0
-        assert_matches_oracle(got, _recomputing_ccghc(t, w, S))
+        assert_matches_oracle(got, t, w, S)

@@ -12,22 +12,23 @@ piecewise linear, and each probe gives one of its lines, kl + lambda
 (cost - S) of the tree it found. The search has three steps.
 
 1. Bracket: probe 0, then 1, 2, 4, ... until a probe is feasible.
-2. Locate (Kelley's cutting plane, 1960): on a working copy (a, b) of
-   the bracket, probe where the lines of a and b cross and move the end
-   on the probe's side, until b's line meets a's at a or at b, within
-   1e-12 relative in value. At that point x both trees minimize
-   kl + x * cost, so every minimizer below x costs more than the
-   infeasible tree and every minimizer above x no more than the
+2. Locate (Kelley's cutting plane, 1960): on (a, b), the largest
+   infeasible and the smallest feasible multiplier probed so far (the
+   bracket at first), probe where the lines of a and b cross, which
+   moves the end on the probe's side, until b's line meets a's at a or
+   at b, within 1e-12 relative in value. At that point x both trees
+   minimize kl + x * cost, so every minimizer below x costs more than
+   the infeasible tree and every minimizer above x no more than the
    feasible one: the probes turn feasible at x. x stays unset if a
    crossing does not land strictly inside (a, b).
 3. Replay: the bisection from the step-1 bracket, halving by the rule
-   ccghc states. A midpoint farther than REPLAY * max(x, 1 / spread)
-   from x takes its side from x without a probe; nearer ones are
-   probed. The final bracket's feasible end is probed, for the result,
-   and so is its infeasible end if it lies above a, the largest
-   infeasible probe. A side wrongly taken from x leaves one of them on
-   the wrong side; then the bisection runs again with every midpoint
-   probed (1 of the 99840 random-small instances of seeds 1-40).
+   ccghc states. A midpoint outside (a, b) takes its side from the
+   probes, one farther than REPLAY * max(x, 1 / spread) from x its side
+   from x, and the rest are probed. The final bracket's feasible end is
+   probed, for the result, and so is its infeasible end if it lies
+   above a. A side wrongly taken from x leaves one of them on the wrong
+   side; then the bisection runs again without x (1 of the 99840
+   random-small instances of seeds 1-40).
 
 As feasibility only turns once as lambda rises, the replay ends in the
 bisection's bracket, with its lambda_star, iterations and result. On the
@@ -287,10 +288,14 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     # merge_classes' blocks, the exact cost as numerator and denominator
     # and the KL when feasible, else None)
     probes = {}
+    # the largest infeasible and the smallest feasible multiplier probed,
+    # which settle the side of every multiplier outside (a, b)
+    a, b = 0.0, inf
 
     def probe(lam: float):
         """The feasible payload at lam, or None; each multiplier is
         merged once."""
+        nonlocal a, b
         if lam in probes:
             return probes[lam][1]
         blocks = merge_classes(tilted(lam).tolist(), starts)
@@ -312,6 +317,10 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
         # int / int rounds once, as float(Fraction(cost, den)) does
         probes[lam] = (Evaluation(lam, cost / den, kl, feasible),
                        (blocks, cost, den, kl) if feasible else None)
+        if feasible:
+            b = min(b, lam)
+        else:
+            a = max(a, lam)
         return probes[lam][1]
 
     def line(lam: float, at: float) -> float:
@@ -334,7 +343,6 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     # locate x, where the probes turn feasible, from the dual's lines
     # (step 2 of the module docstring)
     x = None
-    a, b = lo, u
     while a < b:
         if ties(line(b, a), line(a, a)):
             x = a
@@ -349,20 +357,20 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
         cross = (eb.kl - ea.kl) / (ea.cost - eb.cost)
         if not a < cross < b:
             break
-        if probe(cross):
-            b = cross
-        else:
-            a = cross
+        probe(cross)
 
     def halve(lo: float, u: float, x):
-        """Bisect (lo, u) to the stopping width. A midpoint farther than
-        REPLAY * max(x, 1 / spread) from x takes its side from x; any
-        other is probed. Returns the final bracket and the halvings."""
+        """Bisect (lo, u) to the stopping width. A midpoint outside
+        (a, b) takes its side from the probes, and one farther than
+        REPLAY * max(x, 1 / spread) from x its side from x; any other is
+        probed. Returns the final bracket and the halvings."""
         iterations = 0
         mid = 0.5 * (lo + u)
         while lo < mid < u and u - lo >= WIDTH * max(u, 1 / spread):
             iterations += 1
-            if x is None or abs(mid - x) <= REPLAY * max(x, 1 / spread):
+            if not a < mid < b:
+                feasible = mid >= b
+            elif x is None or abs(mid - x) <= REPLAY * max(x, 1 / spread):
                 feasible = probe(mid)
             else:
                 feasible = mid > x

@@ -51,16 +51,20 @@ def _instance(args) -> tuple:
     return t, _load_costs(args.costs)
 
 
-def _parse_alphabet(spec: Optional[str], m: int) -> tuple:
-    """Symbol tokens from a CLI flag: comma-separated, or one char each."""
+def _parse_alphabet(spec: Optional[str], m: int) -> SymbolAlphabet:
+    """The m symbols of a CLI flag, comma separated or one char each,
+    each one a code table can spell (table_token)."""
     if spec is None:
         if m <= 26:
-            return tuple("abcdefghijklmnopqrstuvwxyz"[:m])
+            return SymbolAlphabet("abcdefghijklmnopqrstuvwxyz"[:m])
         raise ValueError(f"no default alphabet for {m} symbols; use --alphabet")
-    tokens = tuple(spec.split(",")) if "," in spec else tuple(spec)
+    tokens = spec.split(",") if "," in spec else tuple(spec)
     if len(tokens) != m:
         raise ValueError(f"alphabet has {len(tokens)} tokens, expected {m}")
-    return tokens
+    alphabet = SymbolAlphabet(tokens)
+    for s in alphabet:
+        table_token(s)
+    return alphabet
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -86,19 +90,13 @@ def _cmd_match(args) -> int:
         raise ValueError("block length must be positive")
     S = as_fraction(args.budget)
     as_float(S, "budget")  # refused by name, as optimal and sweep do
-    tokens = _parse_alphabet(args.alphabet, len(t))
-    if k > 1 and any(len(tok) != 1 for tok in tokens):
+    alphabet = _parse_alphabet(args.alphabet, len(t))
+    # past k = 1 each token is one character, so the blocks are distinct
+    # and spelled exactly when the tokens are
+    if k > 1 and any(len(s) != 1 for s in alphabet):
         raise ValueError("block extension needs single-character symbols")
-    # the size cap is checked before any block is named
-    target = kronecker_pmf(t, k)
-    costs = kronecker_cost(w, k)
-    blocks = SymbolAlphabet(map("".join, itertools.product(tokens, repeat=k)))
-    # a block the code-table file cannot spell is refused before the
-    # solve. Past k = 1 each token is one character, so a block is spelled
-    # exactly when each of its tokens is.
-    for tok in tokens:
-        table_token(tok)
-    res = ccghc(target, costs, k * S)
+    res = ccghc(kronecker_pmf(t, k), kronecker_cost(w, k), k * S)
+    blocks = tuple(map("".join, itertools.product(alphabet, repeat=k)))
     # a result that has no code table fails before any output
     table = format_code_table(canonical_code(res.d, blocks))
     payload = res.to_dict()
@@ -142,10 +140,11 @@ def _cmd_encode(args) -> int:
     source = load_code(args.source_code)
     matcher = load_code(args.matcher)
     w = _load_costs(args.costs)
-    if args.alphabet is None and len(w) == len(SLAT_ALPHABET):
-        alphabet = SLAT_ALPHABET
-    else:
-        alphabet = SymbolAlphabet(_parse_alphabet(args.alphabet, len(w)))
+    alphabet = SLAT_ALPHABET
+    if args.alphabet is not None or len(w) != len(SLAT_ALPHABET):
+        alphabet = _parse_alphabet(args.alphabet, len(w))
+    if any(len(s) != 1 for s in alphabet):
+        raise ValueError("a slat stream needs single-character symbols")
     res = run_facade(text, source, matcher, w, args.slats, alphabet)
     sys.stdout.write(res.symbols + "\n")
     stats = {"symbols": len(res.symbols), "bit_count": res.bit_count,
@@ -209,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, default=1,
                    help="blocklength for the Kronecker extension")
     p.add_argument("--alphabet", default=None,
-                   help="symbol tokens, comma separated or one char each")
+                   help="symbols as a,b,c or abc, one char each past "
+                        "--block 1; no _, leading # or whitespace but space")
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("optimal", help="simplex-relaxed optimum")
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slats", type=int, default=None,
                    help="fit the stream to exactly this many symbols")
     p.add_argument("--alphabet", default=None,
-                   help="symbol tokens in cost order (default: l,r,m)")
+                   help="one char per symbol, in cost order (default: "
+                        "lrm); not _, # or whitespace but a space")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="symbol stream back to text")

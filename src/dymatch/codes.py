@@ -3,9 +3,11 @@ code-table files.
 
 A code table file is UTF-8 text, one entry per line as
 <symbol-or-block><TAB><bitstring>, with # starting a comment line and
-blank lines ignored. Blocks are written as concatenated symbol tokens
-(lmr). The space symbol is written as _ in files, and a symbol the file
-would not give back is refused when written (table_token).
+blank lines ignored. A block is written as its symbols concatenated
+(lmr), and each space as _. table_token is the one rule for what a
+symbol may be: it refuses, when a table is written, a symbol the file
+would not give back, and the command line applies it to --alphabet
+before any work. SymbolAlphabet holds only order and distinctness.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CodeFormatError
 from .pmf import DyadicPmf, kraft_sum
@@ -35,7 +37,8 @@ def validate_bits(bits: str) -> None:
 
 @dataclass(frozen=True)
 class SymbolAlphabet:
-    """Ordered distinct symbol tokens."""
+    """Ordered distinct non-empty symbol strings; what a code table can
+    spell is table_token's rule."""
 
     symbols: tuple
 
@@ -49,22 +52,9 @@ class SymbolAlphabet:
         for s in symbols:
             if not isinstance(s, str) or not s:
                 raise ValueError(f"symbol must be a non-empty string, got {s!r}")
-            # split() breaks s at exactly the characters isspace() accepts
-            if s != " " and (s.split() != [s] or "#" in s):
-                raise ValueError(f"symbol {s!r} contains whitespace or '#'")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-
-    def index(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
 
     def __iter__(self):
         return iter(self.symbols)
@@ -201,28 +191,28 @@ def prefix_violations(pairs) -> list:
     return out
 
 
-def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet) -> PrefixCode:
+def canonical_code(d: DyadicPmf, names: Sequence[str]) -> PrefixCode:
     """Assign codewords to a dyadic pmf canonically.
 
-    Symbols are ordered by (length ascending, alphabet index ascending);
-    each codeword is the previous one incremented then left-shifted to
-    the new length, starting from all zeros. Kraft equality of d makes
-    the result prefix-free and complete by construction. Symbols with
-    probability 0 get no codeword.
+    names[i] names symbol i of d. Symbols are ordered by (length
+    ascending, index ascending); each codeword is the previous one
+    incremented then left-shifted to the new length, starting from all
+    zeros. Kraft equality of d makes the result prefix-free and complete
+    by construction. Symbols with probability 0 get no codeword, and
+    PrefixCode refuses a name given to two that get one.
     """
-    if len(d) != len(alphabet):
-        raise ValueError(f"length mismatch: {len(d)} vs {len(alphabet)}")
+    if len(d) != len(names):
+        raise ValueError(f"length mismatch: {len(d)} vs {len(names)}")
     # each length's symbols in index order
     groups: dict = {}
     for i, l in enumerate(d.lengths):
         if l is not None:
             groups.setdefault(l, []).append(i)
     if 0 in groups:
-        raise ValueError(
-            f"cannot assign an empty codeword: the pmf puts all its mass on "
-            f"{alphabet.symbols[groups[0][0]]!r}, and a one-symbol code has "
-            f"no bits to parse")
-    bits: list = [None] * len(alphabet)
+        raise ValueError(f"cannot assign an empty codeword: the pmf puts "
+                         f"all its mass on {names[groups[0][0]]!r}, and a "
+                         f"one-symbol code has no bits to parse")
+    bits: list = [None] * len(names)
     code = prev_len = 0
     for l in sorted(groups):
         code <<= l - prev_len
@@ -231,8 +221,7 @@ def canonical_code(d: DyadicPmf, alphabet: SymbolAlphabet) -> PrefixCode:
         for i in groups[l]:
             bits[i] = format(code, spec)
             code += 1
-    return PrefixCode([(s, b) for s, b in zip(alphabet.symbols, bits)
-                       if b is not None])
+    return PrefixCode([(s, b) for s, b in zip(names, bits) if b is not None])
 
 
 def table_token(symbol: str) -> str:
@@ -255,10 +244,6 @@ def table_token(symbol: str) -> str:
         raise ValueError(f"symbol {symbol!r} is empty, starts with '#' or "
                          f"holds whitespace other than a space")
     return token
-
-
-def _decode_token(token: str) -> str:
-    return token.replace(SPACE_TOKEN, " ")
 
 
 def parse_code_table(text: str) -> list:
@@ -289,7 +274,7 @@ def parse_code_table(text: str) -> list:
         if bad:
             raise CodeFormatError(f"invalid bit {bad.group()!r}",
                                   line=lineno, column=bad.start() + 1)
-        symbol = _decode_token(token)
+        symbol = token.replace(SPACE_TOKEN, " ")
         if symbol in seen_syms:
             raise CodeFormatError(f"duplicate symbol {token!r}", line=lineno)
         if bits in seen_bits:

@@ -20,7 +20,6 @@ from dymatch import (as_fraction, brute_force_dyadic, ccghc, canonical_code,
                      kronecker_cost, kronecker_pmf, match_bits, solve_simplex,
                      unmatch_symbols, verify_kraft)
 from dymatch.cli import main
-from dymatch.codes import SymbolAlphabet
 from dymatch.facade import (SLAT_COSTS, TARGET, matcher_code, source_code)
 from dymatch.pmf import Pmf
 
@@ -199,8 +198,7 @@ def test_pipeline_totality_and_marginal():
                       (3, "0.2063")):
         res = ccghc(kronecker_pmf(TARGET, k), kronecker_cost(SLAT_COSTS, k),
                     k * as_fraction(budget))
-        blocks = SymbolAlphabet(tuple(
-            "".join(p) for p in itertools.product("lrm", repeat=k)))
+        blocks = tuple(map("".join, itertools.product("lrm", repeat=k)))
         matchers.append(canonical_code(res.d, blocks))
     for i in range(10_000):
         code = matchers[i % len(matchers)]

@@ -531,7 +531,8 @@ class TestBisectionOracle:
         # lambda_star, so that x lands too far from it: the final
         # bracket's u is infeasible (LOW_X) or its lo feasible (the only
         # such instance in random-small seeds 1-40, seed 25), and the
-        # search bisects again, probing every midpoint
+        # search bisects again, probing only the midpoints its probes
+        # leave open: fewer than the bisection probes
         if end == "u":
             x, cents, S = self.LOW_X
             w = CostVector([Fraction(c, 10000) for c in cents])
@@ -541,7 +542,7 @@ class TestBisectionOracle:
                                             None))
         got = ccghc(t, w, S)
         want = assert_same_as_bisection(got, t, w, S)
-        assert {e.lam for e in want.trace} < {e.lam for e in got.trace}
+        assert len(got.trace) < len(want.trace)
 
     @given(tie_heavy_instances())
     def test_tie_heavy(self, instance):

@@ -1,14 +1,22 @@
 """CLI subcommands, output formats, and exit codes."""
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from importlib import resources
 
-from dymatch.cli import main
+from dymatch.ccghc import ccghc
+from dymatch.cli import _parse_alphabet, main
+from dymatch.codes import parse_code_table
 from dymatch.facade import matcher_code
 
 PHRASE = "shannon the fu"
@@ -186,12 +194,15 @@ class TestMatch:
         (3, "l,r,#", "'#'"),
         (3, "_,r,m", "space token"),
         (1, "aa,bb,c_c", "space token"),
-        (1, "a b,r,m", "whitespace")])
+        (1, "a\tb,r,m", "whitespace"),
+        (2, "l,\u00a0,m", "whitespace"),
+        (1000, "l,r,#", "'#'")])
     def test_bad_alphabet_refused_before_solving(self, files, capsys,
                                                  monkeypatch, block, alphabet,
                                                  message):
         # the costliest symbol gets no codeword at block 1 (see below), so
-        # only a check before the solve refuses "c_c"
+        # only a check before the solve refuses "c_c"; a bad alphabet is
+        # refused before the size cap too
         def fail(*args, **kwargs):
             raise AssertionError("ccghc ran")
         monkeypatch.setattr("dymatch.cli.ccghc", fail)
@@ -218,6 +229,56 @@ class TestMatch:
                             "--alphabet", "aa,bb,cc"], capsys)
         assert code == 3
         assert "single-character" in err
+
+    @pytest.mark.parametrize("block, alphabet", [
+        (1, "a b,a#,c"), (1, " a ,b,c"), (2, " ,r,m"), (3, "l,r, ")])
+    def test_spelled_alphabet_reads_back(self, files, capsys, block,
+                                         alphabet):
+        # a token holding a space or, past its start, # is spelled, and
+        # the table reads back as the blocks of the JSON lengths
+        code, out, _ = run(["match", "--target", files["target"],
+                            "--costs", files["costs"], "--budget", "0.2063",
+                            "--block", str(block), "--alphabet", alphabet],
+                           capsys)
+        assert code == 0
+        payload, table = out.split("\n\n", 1)
+        blocks = map("".join, itertools.product(alphabet.split(","),
+                                                repeat=block))
+        assert {s: len(b) for s, b in parse_code_table(table)} == {
+            s: l for s, l in zip(blocks, json.loads(payload)["lengths"])
+            if l is not None}
+
+    @given(st.lists(st.text("ab _#\t\u00a0", max_size=3), min_size=3,
+                    max_size=3), st.sampled_from([1, 2]))
+    @example([" a", "a#", "b b"], 1)
+    @example(["a", " ", "b"], 2)
+    @example(["a", "b", "#"], 1)
+    def test_alphabet_refused_or_read_back(self, files, tokens, block):
+        # match refuses before the solve exactly when the spelling rule
+        # or, past block 1, the one-character rule does; otherwise its
+        # table reads back as the blocks of finite length
+        spec = ",".join(tokens)
+        try:
+            _parse_alphabet(spec, 3)
+            refused = block > 1 and any(len(s) != 1 for s in tokens)
+        except ValueError:
+            refused = True
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("dymatch.cli.ccghc", wraps=ccghc) as solve, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(["match", "--target", files["target"],
+                         "--costs", files["costs"], "--budget", "0.2063",
+                         "--block", str(block), "--alphabet", spec])
+        if refused:
+            assert (code, out.getvalue(), solve.called) == (3, "", False)
+            return
+        assert code == 0, err.getvalue()
+        payload, table = out.getvalue().split("\n\n", 1)
+        blocks = map("".join, itertools.product(tokens, repeat=block))
+        assert [s for s, _ in parse_code_table(table)] == [
+            s for s, l in zip(blocks, json.loads(payload)["lengths"])
+            if l is not None]
 
 
 class TestOptimal:
@@ -340,6 +401,38 @@ class TestEncodeDecode:
         assert code == 0
         assert len(out.strip()) == 60
         assert json.loads(err)["symbols"] == 60
+
+    @pytest.mark.parametrize("alphabet, message", [
+        ("aa,bb,cc", "single-character"), ("l,r,mm", "single-character"),
+        ("_,r,m", "space token"), ("l,r,#", "'#'")])
+    def test_bad_alphabet_refused_before_encoding(self, files, capsys,
+                                                  monkeypatch, alphabet,
+                                                  message):
+        # the stream is counted one character per symbol, so a longer
+        # token is refused up front, not after the stream is built
+        def fail(*args, **kwargs):
+            raise AssertionError("run_facade ran")
+        monkeypatch.setattr("dymatch.cli.run_facade", fail)
+        code, out, err = run(["encode", "--text", files["text"],
+                              "--source-code", files["source"],
+                              "--matcher", files["matcher"],
+                              "--costs", files["costs"],
+                              "--alphabet", alphabet], capsys)
+        assert (code, out) == (3, "")
+        assert message in err
+
+    def test_alphabet_names_the_symbols(self, files, capsys):
+        # the matcher's blocks use l, r and m, so the alphabet must too;
+        # given in another order, the frequencies follow it
+        code, out, err = run(["encode", "--text", files["text"],
+                              "--source-code", files["source"],
+                              "--matcher", files["matcher"],
+                              "--costs", files["costs"],
+                              "--alphabet", "m,r,l"], capsys)
+        assert code == 0
+        freqs = json.loads(err)["effective_freqs"]
+        symbols = out.strip()
+        assert freqs == [symbols.count(c) / len(symbols) for c in "mrl"]
 
     def test_empty_text_with_budget_exits_3(self, files, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

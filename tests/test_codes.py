@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dymatch import (CodeFormatError, DyadicPmf, PrefixCode, SymbolAlphabet,
                      canonical_code, load_code, parse_code_table,
                      save_code, verify_kraft)
-from dymatch.codes import format_code_table, prefix_violations
+from dymatch.cli import _parse_alphabet
+from dymatch.codes import format_code_table, prefix_violations, table_token
 from dymatch.facade import matcher_code, source_code
 
 ABC = SymbolAlphabet(("a", "b", "c"))
@@ -32,13 +33,13 @@ def dropped_dyadic(draw):
     return DyadicPmf(tuple(draw(st.permutations(lengths))))
 
 
-def sorted_canonical_code(d, alphabet):
+def sorted_canonical_code(d, names):
     """canonical_code written as one sort of (length, index) pairs."""
     order = sorted((l, i) for i, l in enumerate(d.lengths) if l is not None)
     if order[0][0] == 0:
         raise ValueError(
             f"cannot assign an empty codeword: the pmf puts all its mass on "
-            f"{alphabet.symbols[order[0][1]]!r}, and a one-symbol code has "
+            f"{names[order[0][1]]!r}, and a one-symbol code has "
             f"no bits to parse")
     assigned = {}
     code = 0
@@ -48,50 +49,71 @@ def sorted_canonical_code(d, alphabet):
             code = (code + 1) << (l - prev_len)
             prev_len = l
         assigned[i] = format(code, f"0{l}b")
-    entries = [(alphabet.symbols[i], assigned[i])
-               for i in range(len(alphabet)) if i in assigned]
+    entries = [(names[i], assigned[i])
+               for i in range(len(names)) if i in assigned]
     return PrefixCode(entries)
 
 
 class TestSymbolAlphabet:
+    """What an alphabet may hold: SymbolAlphabet keeps order and
+    distinctness, and table_token spells each symbol, as the command
+    line's _parse_alphabet applies it to --alphabet tokens."""
+
     def test_ordering_and_lookup(self):
-        assert ABC.index("b") == 1
-        assert "c" in ABC and "z" not in ABC
         assert list(ABC) == ["a", "b", "c"]
+        assert ABC.symbols[1] == "b" and len(ABC) == 3
+        assert _parse_alphabet("c,a,b", 3).symbols == ("c", "a", "b")
 
     def test_space_allowed(self):
-        alpha = SymbolAlphabet(("a", " "))
-        assert alpha.index(" ") == 1
+        assert SymbolAlphabet(("a", " ")).symbols == ("a", " ")
+        assert table_token(" ") == "_"
+        assert _parse_alphabet("a, ", 2).symbols == ("a", " ")
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             SymbolAlphabet(("a", "a"))
 
     def test_rejects_comment_char(self):
-        with pytest.raises(ValueError):
-            SymbolAlphabet(("a", "#"))
+        # a leading # would start a comment line; an inner one is spelled
+        for s in ("#", "#a"):
+            with pytest.raises(ValueError, match="starts with '#'"):
+                _parse_alphabet(f"a,{s}", 2)
+        assert _parse_alphabet("a,b#", 2).symbols == ("a", "b#")
 
     @pytest.mark.parametrize("c", WHITESPACE)
     def test_rejects_each_whitespace(self, c):
-        # anywhere in a block name; alone, only the space is a symbol
-        names = [c + "lr", "l" + c + "r", "lr" + c]
-        if c != " ":
-            names.append(c)
+        # anywhere in a token; the space alone is spelled, as _
+        names = [c + "lr", "l" + c + "r", "lr" + c, c]
         for s in names:
-            with pytest.raises(ValueError) as err:
-                SymbolAlphabet(("lrm", s))
-            assert str(err.value) \
-                == f"symbol {s!r} contains whitespace or '#'"
+            if c == " ":
+                assert table_token(s) == s.replace(" ", "_")
+                assert _parse_alphabet(f"lrm,{s}", 2).symbols == ("lrm", s)
+                continue
+            for check in (table_token,
+                          lambda s: _parse_alphabet(f"lrm,{s}", 2)):
+                with pytest.raises(ValueError) as err:
+                    check(s)
+                assert str(err.value) == (
+                    f"symbol {s!r} is empty, starts with '#' or holds "
+                    f"whitespace other than a space")
 
     def test_accepts_every_other_code_point(self):
-        accepted = 0
-        for start in range(0, 0x110000, 1 << 16):
-            chunk = map(chr, range(start, start + (1 << 16)))
-            symbols = tuple("l" + c for c in chunk
-                            if not c.isspace() and c != "#")
-            SymbolAlphabet(symbols)
-            accepted += len(symbols)
-        assert accepted == 0x110000 - 30
+        # every code point but _ and the 28 whitespace characters other
+        # than the space is spelled inside a token, and the same less #
+        # at its start
+        def spelled(symbols):
+            count = 0
+            for s in symbols:
+                try:
+                    table_token(s)
+                except ValueError:
+                    continue
+                count += 1
+            return count
+
+        chars = [chr(i) for i in range(0x110000)]
+        assert spelled("l" + c for c in chars) == 0x110000 - 29
+        assert spelled(c + "l" for c in chars) == 0x110000 - 30
 
 
 class TestPrefixCode:
@@ -166,54 +188,52 @@ class TestPrefixViolations:
 
 class TestCanonicalCode:
     def test_three_symbols(self):
-        code = canonical_code(DyadicPmf((1, 2, 2)), ABC)
+        code = canonical_code(DyadicPmf((1, 2, 2)), ("a", "b", "c"))
         assert dict(code.entries) == {"a": "0", "b": "10", "c": "11"}
 
     def test_four_equal(self):
-        code = canonical_code(DyadicPmf((2, 2, 2, 2)),
-                              SymbolAlphabet(("a", "b", "c", "d")))
+        code = canonical_code(DyadicPmf((2, 2, 2, 2)), ("a", "b", "c", "d"))
         assert [b for _, b in code.entries] == ["00", "01", "10", "11"]
 
     def test_lengths_survive(self):
         d = DyadicPmf((3, 3, 2, 2, 3, 3))
-        code = canonical_code(d, SymbolAlphabet(tuple("abcdef")))
+        code = canonical_code(d, tuple("abcdef"))
         assert sorted(len(b) for _, b in code.entries) == sorted(
             l for l in d.lengths)
         assert code.is_complete
 
     def test_dropped_symbols_get_no_codeword(self):
-        code = canonical_code(DyadicPmf((1, None, 1)), ABC)
+        code = canonical_code(DyadicPmf((1, None, 1)), ("a", "b", "c"))
         assert code.symbols == ("a", "c")
 
     def test_alphabet_index_breaks_length_ties(self):
-        # b and c share length 2; b comes first in the alphabet
-        code = canonical_code(DyadicPmf((2, 2, 1)), ABC)
+        # b and c share length 2; b comes first in the names
+        code = canonical_code(DyadicPmf((2, 2, 1)), ("a", "b", "c"))
         assert dict(code.entries) == {"c": "0", "a": "10", "b": "11"}
 
     def test_rejects_empty_codeword(self):
         with pytest.raises(ValueError):
-            canonical_code(DyadicPmf((0, None)), SymbolAlphabet(("a", "b")))
+            canonical_code(DyadicPmf((0, None)), ("a", "b"))
 
     @given(dropped_dyadic())
     @example(DyadicPmf((None, 0, None)))
     def test_same_as_sorted_assignment(self, d):
-        alphabet = SymbolAlphabet(tuple(f"s{i}" for i in range(len(d))))
+        names = tuple(f"s{i}" for i in range(len(d)))
         try:
-            want = sorted_canonical_code(d, alphabet)
+            want = sorted_canonical_code(d, names)
         except ValueError as e:
             with pytest.raises(ValueError) as err:
-                canonical_code(d, alphabet)
+                canonical_code(d, names)
             assert str(err.value) == str(e)
         else:
-            assert canonical_code(d, alphabet).entries == want.entries
+            assert canonical_code(d, names).entries == want.entries
 
     def test_matcher_length_multiset(self):
         # same multiset as the shipped table; bit patterns are canonical,
         # not the shipped ones
         shipped = matcher_code()
         lengths = tuple(len(b) for _, b in shipped.entries)
-        blocks = SymbolAlphabet(tuple("".join(p) for p in
-                                      itertools.product("lrm", repeat=3)))
+        blocks = tuple(map("".join, itertools.product("lrm", repeat=3)))
         rebuilt = canonical_code(DyadicPmf(lengths), blocks)
         assert sorted(len(b) for _, b in rebuilt.entries) == sorted(lengths)
         assert rebuilt.is_complete

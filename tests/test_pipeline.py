@@ -11,7 +11,6 @@ from dymatch import (CodeFormatError, CostVector, Pmf, PrefixCode,
                      as_fraction, ccghc, canonical_code, compress_text,
                      decompress_bits, facade_stats, kronecker_cost,
                      kronecker_pmf, match_bits, run_facade, unmatch_symbols)
-from dymatch.codes import SymbolAlphabet
 from dymatch.facade import (SLAT_ALPHABET, SLAT_COSTS, TARGET, matcher_code,
                             source_code)
 
@@ -140,8 +139,7 @@ class TestGeneratedMatchers:
         vk = kronecker_cost(SLAT_COSTS, k)
         res = ccghc(tk, vk, k * as_fraction(budget))
         import itertools
-        blocks = SymbolAlphabet(tuple(
-            "".join(p) for p in itertools.product("lrm", repeat=k)))
+        blocks = tuple(map("".join, itertools.product("lrm", repeat=k)))
         return canonical_code(res.d, blocks)
 
     def test_round_trip_through_generated(self):
@@ -192,7 +190,7 @@ def _ref_match(bits, code):
 def _k2_matcher():
     res = ccghc(kronecker_pmf(TARGET, 2), kronecker_cost(SLAT_COSTS, 2),
                 2 * as_fraction("0.2063"))
-    blocks = SymbolAlphabet(tuple(a + b for a in "lrm" for b in "lrm"))
+    blocks = tuple(a + b for a in "lrm" for b in "lrm")
     return canonical_code(res.d, blocks)
 
 

@@ -20,14 +20,14 @@ the curve, once k is large enough.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import log, log2
 
 from .ccghc import CcGhcResult, _Tilt, ccghc, tilt
 from .ghc import ghc
 from .pmf import (CostVector, Number, Pmf, as_float, as_fraction,
                   average_cost_exact, check_size_cap, kl_divergence,
                   kronecker_cost, kronecker_pmf)
-from .simplex import _csv_text, _search, _solution, solve_simplex
+from .simplex import _csv_text, _search, solve_simplex
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,20 @@ def chord(t: Pmf, w: CostVector, E_star: float,
     """Chord through (E*, D(E*)) and (E', D(E*) + epsilon).
 
     E' lies on the decreasing branch of D left of E*. Along the tilt
-    family D rises and E falls as the multiplier grows, so E' is found by
-    the simplex module's search for the multiplier where D reaches
-    D(E*) + epsilon, Newton steps on D from lam(E*) kept below the
-    multiplier of a budget just above the cheapest supported cost. xi is
-    computed from the achieved curve points, so strict convexity puts it
-    strictly between the tangent slopes lam(E*) and lam(E').
+    family D rises and E falls as the multiplier grows, D toward its
+    limit -log2 T_C, T_C the target's mass on the cheapest supported
+    symbols. So E' is found by the simplex module's search for the
+    multiplier where D reaches D(E*) + epsilon, Newton steps on D from
+    lam(E*) with no upper end. xi is computed from the achieved curve
+    points, so strict convexity puts it strictly between the tangent
+    slopes lam(E*) and lam(E').
 
     Raises:
         ValueError: epsilon not positive (NaN included), too small to
             change D(E*) in floats or to give a xi between the tangent
             slopes (the differences it divides are then a few ulps), or
-            so large that D never reaches D(E*) + epsilon above the
-            cheapest supported cost; E_star NaN.
+            so large that D(E*) + epsilon reaches D's limit or E' rounds
+            to the cheapest supported cost; E_star NaN.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -112,26 +113,26 @@ def chord(t: Pmf, w: CostVector, E_star: float,
     if target == sol.D:
         raise ValueError(f"epsilon {epsilon} is lost in D(E*) = {sol.D}")
     tilted = _Tilt(t, w)
-    w_min = tilted.cheapest
-    edge = solve_simplex(t, w, w_min + 1e-9 * (sol.E - w_min))
-    if edge.D <= target:
-        raise ValueError(
-            f"epsilon {epsilon} exceeds the distance range available above "
-            f"the cheapest cost {w_min}")
+    x = t.probs * (w.costs == tilted.cheapest)
+    # D's limit is -log2 T_C, T_C = x.sum(); the search's D ends at the
+    # distance of x / T_C, which may differ from it in the last bits
+    limit = min(-log2(x.sum()), kl_divergence(x / x.sum(), t))
     # D rises with lam at rate lam ln 2 times the variance of the costs
-    lam = _search(tilted, w,
-                  lambda p, gap, var, lam: (kl_divergence(p, t),
-                                            lam * log(2) * var),
-                  target, sol.lam, edge.lam)
-    prime = _solution(tilted, t, w, lam)
+    prime = _search(tilted, t, w,
+                    lambda p, gap, var, lam: (kl_divergence(p, t),
+                                              lam * log(2) * var),
+                    target, sol.lam) if target < limit else None
+    if prime is None or prime.E <= tilted.cheapest:
+        raise ValueError(
+            f"epsilon {epsilon} takes D(E*) = {sol.D} to D's limit {limit} "
+            f"at the cheapest supported cost {tilted.cheapest}")
     xi = (prime.D - sol.D) / (sol.E - prime.E)
     # strict convexity puts the chord slope between the tangent slopes
     if not sol.lam < xi < prime.lam:
         raise ValueError(f"epsilon {epsilon} is too small to resolve the "
                          f"chord: xi = {xi} lies outside the tangent "
                          f"slopes ({sol.lam}, {prime.lam})")
-    return ChordConstruction(E_prime=prime.E,
-                             E_mid=0.5 * (prime.E + sol.E),
+    return ChordConstruction(E_prime=prime.E, E_mid=0.5 * (prime.E + sol.E),
                              xi=xi)
 
 

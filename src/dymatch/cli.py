@@ -145,6 +145,9 @@ def _cmd_encode(args) -> int:
         alphabet = _parse_alphabet(args.alphabet, len(w))
     if any(len(s) != 1 for s in alphabet):
         raise ValueError("a slat stream needs single-character symbols")
+    unknown = set("".join(s for s, _ in matcher.entries)) - set(alphabet)
+    if unknown:
+        raise ValueError(f"symbols outside the alphabet: {sorted(unknown)}")
     res = run_facade(text, source, matcher, w, args.slats, alphabet)
     sys.stdout.write(res.symbols + "\n")
     stats = {"symbols": len(res.symbols), "bit_count": res.bit_count,

@@ -11,9 +11,11 @@ times ln 2.)
 
 The cost E(lam) = w^T p*(lam) is strictly decreasing whenever the
 costs are not all equal, with slope -ln 2 Var(w) under p*(lam), and the
-distance D(lam) = kl(p*(lam)||t) increasing with slope lam ln 2 Var(w).
-One search (_search) inverts either: Newton steps kept inside a bracket
-on the multiplier, run until they no longer move it in floats.
+distance D(lam) = kl(p*(lam)||t) increasing with slope lam ln 2 Var(w),
+toward -log2 T_C as lam grows, T_C the target's mass on the cheapest
+supported symbols. One search (_search) inverts either: Newton steps
+kept inside a bracket on the multiplier, run until they no longer move
+it in floats. It returns the relaxed optimum where they stop.
 """
 from __future__ import annotations
 
@@ -52,30 +54,23 @@ def tilted_pmf(t: Pmf, w: CostVector, lam: float) -> Pmf:
     return Pmf(x / x.sum())
 
 
-def _solution(tilted, t: Pmf, w: CostVector, lam: float) -> TiltedSolution:
-    """The relaxed optimum at multiplier lam from a prepared tilt of t:
-    the normalized tilt, its cost E and its distance D."""
-    x = tilted(lam)
-    p = Pmf(x / x.sum())
-    return TiltedSolution(p, lam, average_cost(p, w), kl_divergence(p, t))
-
-
-def _search(tilted: _Tilt, w: CostVector, rising, target: float,
-            lam: float, u: float = inf) -> float:
-    """The multiplier at which rising, a quantity of the normalized tilt
-    that grows with the multiplier, reaches target, searched from lam,
-    the lower end of the bracket (lo, u).
+def _search(tilted: _Tilt, t: Pmf, w: CostVector, rising, target: float,
+            lam: float) -> TiltedSolution:
+    """The relaxed optimum at the multiplier where rising, a quantity of
+    the normalized tilt that grows with the multiplier, reaches target,
+    searched upward from lam, the lower end of the bracket.
 
     rising(p, gap, var, lam) gives the quantity and its slope in lam from
     the normalized tilt p at lam, the excess gap of its cost over the
     cheapest supported cost, and the variance var of the costs under p.
     Each step is a Newton step unless it leaves the bracket; then it
-    halves the bracket, or, while u is unknown, goes to 2 max(lam,
-    1 / spread), which also caps a Newton step (spread is the largest
-    supported cost minus the smallest). The search stops when a step no
-    longer moves lam or no float lies strictly inside the bracket, and
-    returns the last multiplier tried. No step depends on the cost unit:
-    with the costs scaled by 2^j, and a cost target with them, every
+    halves the bracket, or, while the bracket has no upper end, goes to
+    2 max(lam, 1 / spread), which also caps a Newton step (spread is the
+    largest supported cost minus the smallest). The search stops when a
+    step no longer moves lam or no float lies strictly inside the
+    bracket, and returns the normalized tilt at the last multiplier tried
+    with its cost and distance. No step depends on the cost unit: with
+    the costs scaled by 2^j, and a cost target with them, every
     multiplier tried is exactly 2^-j times the unscaled one.
 
     Raises:
@@ -83,7 +78,7 @@ def _search(tilted: _Tilt, w: CostVector, rising, target: float,
     """
     over = w.costs - tilted.cheapest
     spread = float(tilted.costs.max()) - tilted.cheapest
-    lo = lam
+    lo, u = lam, inf
     while True:
         x = tilted(lam)
         p = x / x.sum()
@@ -97,7 +92,9 @@ def _search(tilted: _Tilt, w: CostVector, rising, target: float,
             step = 0.5 * (lo + u) if u < inf else hi
         # lam is lo or u, so this also ends a step that does not move it
         if not lo < step < u:
-            return lam
+            p = Pmf(p)
+            return TiltedSolution(p, lam, average_cost(p, w),
+                                  kl_divergence(p, t))
         if step * spread > 2.0 ** 100:
             raise ConvergenceError("failed to bracket the multiplier")
         lam = step
@@ -140,9 +137,9 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
     if E >= wt:
         return TiltedSolution(t, 0.0, wt, 0.0)
     # the cost's excess falls with lam at rate ln 2 times the variance
-    lam = _search(tilted, w, lambda p, gap, var, lam: (-gap, log(2) * var),
-                  w_min - E, 0.0)
-    return _solution(tilted, t, w, lam)
+    return _search(tilted, t, w,
+                   lambda p, gap, var, lam: (-gap, log(2) * var),
+                   w_min - E, 0.0)
 
 
 def distance_cost_curve(t: Pmf, w: CostVector,

@@ -350,8 +350,8 @@ def assert_same_as_bisection(got, t, w, S) -> CcGhcResult:
     return want
 
 
-def random_small_round(seed: int = 1, size: int = 2496):
-    """(target, costs, budget) of the block instances of perfbench's
+def random_small_symbols(seed: int = 1, size: int = 2496):
+    """(target, costs, budget per symbol, blocklength) of perfbench's
     random-small round, drawn as perfbench/workloads.py RandomSmall draws
     them: m = 3..8 symbols and blocklength 1 or 2 in turn, distinct
     4-decimal costs in [0.05, 1], an exponential-draw target, and a
@@ -371,8 +371,14 @@ def random_small_round(seed: int = 1, size: int = 2496):
         if k == 1:
             rng.random()  # the workload's draw: enumerate this result?
         w = CostVector([Fraction(c, 10000) for c in cents])
-        yield (kronecker_pmf(Pmf(np.array(t)), k), kronecker_cost(w, k),
-               k * S)
+        yield Pmf(np.array(t)), w, S, k
+
+
+def random_small_round(seed: int = 1, size: int = 2496):
+    """(target, costs, budget) of the block instances of perfbench's
+    random-small round (random_small_symbols)."""
+    for t, w, S, k in random_small_symbols(seed, size):
+        yield kronecker_pmf(t, k), kronecker_cost(w, k), k * S
 
 
 def expand_blocks(weights, order, starts) -> tuple:

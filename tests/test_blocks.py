@@ -1,14 +1,17 @@
 """Blocklength extension: convergence records, chord, achievability."""
 import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dymatch import (Pmf, SizeCapError, achievability_check, as_fraction,
-                     average_cost_exact, ccghc, chord, convergence_sweep,
-                     ghc, kl_divergence, kronecker_cost, kronecker_pmf,
-                     solve_simplex, sweep_csv, tilt)
+from dymatch import (CostVector, Pmf, SizeCapError, achievability_check,
+                     as_fraction, average_cost_exact, ccghc, chord,
+                     convergence_sweep, ghc, kl_divergence, kronecker_cost,
+                     kronecker_pmf, solve_simplex, sweep_csv, tilt)
 from conftest import random_costs, random_pmf
 
 BLOCKS_MODULE = importlib.import_module("dymatch.blocks")
@@ -90,6 +93,35 @@ class TestConvergenceSweep:
             "10,1.0,2.5e+16,inf,nan\r\n")
 
 
+def distance_limit(t, w) -> tuple:
+    """The cheapest supported cost and D's limit there, -log2 of the
+    target's mass on the symbols of that cost."""
+    supported = t.probs > 0
+    cheapest = float(w.costs[supported].min())
+    return cheapest, -math.log2(float(
+        t.probs[supported & (w.costs == cheapest)].sum()))
+
+
+@st.composite
+def chord_instances(draw):
+    """2-6 symbols with target weights from {0, 0.3, 1, 2.5}, some 0, and
+    costs in hundredths from 0.05 to 0.4, often tied but not all equal; a
+    budget E* from just above the cheapest supported cost to past w^T t;
+    and a fraction of the distance room left above D(E*), from 1e-6 to
+    1.5, for epsilon."""
+    m = draw(st.integers(2, 6))
+    x = draw(st.lists(st.sampled_from((0.0, 0.3, 1.0, 2.5)), min_size=m,
+                      max_size=m).filter(any))
+    cents = draw(st.lists(st.integers(5, 40), min_size=m, max_size=m)
+                 .filter(lambda c: min(c) < max(c)))
+    t = Pmf(np.array(x) / sum(x))
+    w = CostVector([Fraction(c, 100) for c in cents])
+    cheapest = float(w.costs[t.probs > 0].min())
+    wt = float(np.dot(t.probs, w.costs))
+    E_star = cheapest + max(wt - cheapest, 0.01) * draw(st.floats(1e-3, 1.2))
+    return t, w, E_star, draw(st.floats(1e-6, 1.5))
+
+
 class TestChord:
     def test_facade_fixture(self, facade_t, facade_w):
         # captured from the first certified run
@@ -150,6 +182,80 @@ class TestChord:
         d_star = solve_simplex(facade_t, facade_w, 0.2063).D
         d_prime = solve_simplex(facade_t, facade_w, ch.E_prime).D
         assert d_prime == pytest.approx(d_star + 0.01, abs=1e-9)
+
+    @pytest.mark.parametrize("below", [1e-9, 1e-12])
+    def test_epsilon_just_below_the_limit(self, facade_t, facade_w, below):
+        # D rises toward -log2(2/3), the target's mass on the two cheapest
+        # symbols, so a target just below it has a cut point just above
+        # the cheapest cost 0.18
+        d_star = solve_simplex(facade_t, facade_w, 0.2063).D
+        epsilon = -math.log2(2 / 3) - d_star - below
+        ch = chord(facade_t, facade_w, 0.2063, epsilon)
+        assert 0.18 < ch.E_prime < 0.18 + 1e-8
+        d_prime = solve_simplex(facade_t, facade_w, ch.E_prime).D
+        assert d_prime == pytest.approx(d_star + epsilon, abs=1e-9)
+
+    def test_epsilon_at_the_limit(self, facade_t, facade_w):
+        d_star = solve_simplex(facade_t, facade_w, 0.2063).D
+        epsilon = -math.log2(2 / 3) - d_star
+        with pytest.raises(ValueError, match="to D's limit"):
+            chord(facade_t, facade_w, 0.2063, epsilon)
+
+    def test_no_distance_range_above_the_cheapest_cost(self):
+        # every supported symbol costs 0.2, so D(E*) = 0 is already D's
+        # limit; epsilon is refused by name, not by a solve at a budget
+        # of the cheapest cost
+        t = Pmf(np.array([0.5, 0.5, 0.0]))
+        w = CostVector(("0.2", "0.2", "0.5"))
+        with pytest.raises(ValueError, match="epsilon 0.01 takes"):
+            chord(t, w, 0.3, 0.01)
+
+    def test_epsilon_within_float_noise_of_the_limit(self):
+        # D in floats may stop a few ulps short of a target this close to
+        # its limit, or reach it only where E' rounds to the cheapest
+        # cost; either is refused, and what is returned lies on the curve
+        rng = np.random.default_rng(0)
+        refused = 0
+        for _ in range(400):
+            m = int(rng.integers(2, 7))
+            t, w = random_pmf(rng, m), random_costs(rng, m)
+            cheapest, limit = distance_limit(t, w)
+            wt = float(np.dot(t.probs, w.costs))
+            E_star = cheapest + (wt - cheapest) * rng.uniform(0.05, 1.1)
+            d_star = solve_simplex(t, w, E_star).D
+            for epsilon in (np.nextafter(limit - d_star, 0),
+                            limit - d_star - 1e-15):
+                try:
+                    ch = chord(t, w, E_star, float(epsilon))
+                except ValueError:
+                    refused += 1
+                    continue
+                assert ch.E_prime > cheapest
+                assert solve_simplex(t, w, ch.E_prime).D == pytest.approx(
+                    d_star + epsilon, abs=1e-9)
+        assert 0 < refused < 800
+
+    @given(chord_instances())
+    def test_chord_range_property(self, instance):
+        # chord refuses every epsilon that takes D(E*) to or past D's
+        # limit -log2 T_C; whatever it returns lies on the curve above the
+        # cheapest supported cost
+        t, w, E_star, fraction = instance
+        cheapest, limit = distance_limit(t, w)
+        d_star = solve_simplex(t, w, E_star).D
+        room = limit - d_star
+        epsilon = fraction * (room if room > 0 else 1.0)
+        if d_star + epsilon >= limit:
+            with pytest.raises(ValueError):
+                chord(t, w, E_star, epsilon)
+            return
+        try:
+            ch = chord(t, w, E_star, epsilon)
+        except ValueError:
+            return  # epsilon too small to resolve the chord
+        assert ch.E_prime > cheapest
+        assert solve_simplex(t, w, ch.E_prime).D == pytest.approx(
+            d_star + epsilon, abs=1e-9)
 
 
 def _nested_chord(t, w, E_star, epsilon):
@@ -212,8 +318,7 @@ class TestChordOracle:
         # both outcomes occur: agreement and the same refusal
         assert 0 < agreed < 40
 
-    def test_solve_simplex_at_most_twice(self, facade_t, facade_w,
-                                         monkeypatch):
+    def test_solve_simplex_once(self, facade_t, facade_w, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -227,7 +332,7 @@ class TestChordOracle:
                 chord(facade_t, facade_w, 0.2063, epsilon)
             except ValueError:
                 pass
-            assert len(calls) <= 2
+            assert len(calls) == 1
 
 
 class TestAchievability:

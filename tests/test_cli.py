@@ -421,6 +421,26 @@ class TestEncodeDecode:
         assert (code, out) == (3, "")
         assert message in err
 
+    @pytest.mark.parametrize("costs, extra", [
+        (["0.18", "0.18", "0.31"], ["--alphabet", "xyz", "--slats", "4264"]),
+        (["0.18", "0.18", "0.31", "0.5"], [])])
+    def test_matcher_outside_alphabet_refused_before_encoding(
+            self, files, tmp_path, capsys, monkeypatch, costs, extra):
+        # the matcher's blocks spell l, r and m; an alphabet without them,
+        # given or the default a, b, c, d of 4 costs, is refused before
+        # the text is compressed, matched and fitted to the wall
+        def fail(*args, **kwargs):
+            raise AssertionError("run_facade ran")
+        monkeypatch.setattr("dymatch.cli.run_facade", fail)
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(costs))
+        code, out, err = run(["encode", "--text", files["text"],
+                              "--source-code", files["source"],
+                              "--matcher", files["matcher"],
+                              "--costs", str(path), *extra], capsys)
+        assert (code, out) == (3, "")
+        assert "symbols outside the alphabet: ['l', 'm', 'r']" in err
+
     def test_alphabet_names_the_symbols(self, files, capsys):
         # the matcher's blocks use l, r and m, so the alphabet must too;
         # given in another order, the frequencies follow it

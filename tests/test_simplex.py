@@ -12,7 +12,7 @@ from dymatch import (ConvergenceError, CostVector,
                      curve_csv, distance_cost_curve,
                      geometry_identity_residual, kl_divergence,
                      solve_simplex, tilted_pmf)
-from conftest import random_costs, random_pmf
+from conftest import random_costs, random_pmf, random_small_symbols
 
 SIMPLEX = importlib.import_module("dymatch.simplex")
 CCGHC_MODULE = importlib.import_module("dymatch.ccghc")
@@ -118,8 +118,13 @@ class TestPreparedTilt:
             w = CostVector(costs)
             steps.clear()
             sol = solve_simplex(t, w, float(S))
-            # the last tilt builds the returned solution
-            assert sol.lam == 0.0 and not steps or 1 <= len(steps) - 1 <= 20
+            # the returned p* is the last step's normalized tilt
+            if sol.lam == 0.0:
+                assert not steps
+            else:
+                lam, x = steps[-1]
+                assert lam == sol.lam and 1 <= len(steps) <= 20
+                assert np.array_equal(sol.p_star.probs, x / x.sum())
             for lam, x in steps:
                 p = x / x.sum()
                 want = earlier_tilt(t, w, lam)
@@ -259,7 +264,7 @@ def small_instances(seed, n):
     return out
 
 
-def earlier_solve_simplex(t, w, E):
+def bisected_solve_simplex(t, w, E):
     # solve_simplex as it was before its search took Newton steps: a
     # bisection that stopped once the cost was within 1e-12 of E, a
     # tolerance in cost units, or the bracket could not shrink; slack and
@@ -291,12 +296,74 @@ class TestEarlierSolver:
                 assert float(S) >= average_cost(t, w)
                 continue
             constrained += 1
-            lam, E, D = earlier_solve_simplex(t, w, float(S))
+            lam, E, D = bisected_solve_simplex(t, w, float(S))
             assert sol.lam == pytest.approx(lam, rel=1e-8)
             # the bisection stopped up to 1e-12 in cost off the budget,
             # which moves D by up to lam * 1e-12 along the curve, so its
             # D is carried along the tangent to the cost reached now
             assert abs(sol.D - (D - lam * (sol.E - E))) <= 1e-12
+        assert constrained > 150
+
+
+def earlier_search(tilted, w, rising, target, lam, u=math.inf):
+    # simplex._search as it was before it returned the solution it stopped
+    # at: it returned only the multiplier
+    over = w.costs - tilted.cheapest
+    spread = float(tilted.costs.max()) - tilted.cheapest
+    lo = lam
+    while True:
+        x = tilted(lam)
+        p = x / x.sum()
+        gap = float(np.dot(p, over))
+        value, slope = rising(p, gap, float(np.dot(p, (over - gap) ** 2)),
+                              lam)
+        lo, u = (lam, u) if value < target else (lo, lam)
+        step = lam + (target - value) / slope if slope > 0 else math.nan
+        hi = u if u < math.inf else 2.0 * max(lam, 1 / spread)
+        if step != lam and not lo < step < hi:
+            step = 0.5 * (lo + u) if u < math.inf else hi
+        if not lo < step < u:
+            return lam
+        if step * spread > 2.0 ** 100:
+            raise ConvergenceError("failed to bracket the multiplier")
+        lam = step
+
+
+def earlier_solution(tilted, t, w, lam):
+    # simplex._solution as it was: a further tilt at the search's
+    # multiplier built the solution
+    x = tilted(lam)
+    p = Pmf(x / x.sum())
+    return SIMPLEX.TiltedSolution(p, lam, average_cost(p, w),
+                                  kl_divergence(p, t))
+
+
+def earlier_solve_simplex(t, w, E):
+    # solve_simplex on a constrained budget as it was with the two above;
+    # slack and infeasible budgets left out
+    tilted = CCGHC_MODULE._Tilt(t, w)
+    lam = earlier_search(
+        tilted, w, lambda p, gap, var, lam: (-gap, math.log(2) * var),
+        tilted.cheapest - E, 0.0)
+    return earlier_solution(tilted, t, w, lam)
+
+
+class TestEarlierSearch:
+    """solve_simplex returns, bit for bit, what it returned when its
+    search gave back only the multiplier and a further tilt there built
+    the solution."""
+
+    @pytest.mark.parametrize("instances", [
+        lambda: ((t, CostVector(c), S) for t, c, S in small_instances(3, 200)),
+        lambda: ((t, w, S) for t, w, S, _ in random_small_symbols())],
+        ids=["small_instances", "random_small"])
+    def test_same_solution(self, instances):
+        constrained = 0
+        for t, w, S in instances():
+            sol = solve_simplex(t, w, float(S))
+            if sol.lam > 0.0:
+                constrained += 1
+                assert sol == earlier_solve_simplex(t, w, float(S))
         assert constrained > 150
 
 
@@ -314,7 +381,7 @@ class TestSearchCeiling:
 
         w = CostVector([c * Fraction(2) ** j for c in W3.exact])
         with pytest.raises(ConvergenceError, match="failed to bracket"):
-            SIMPLEX._search(Counted(T3, w), w,
+            SIMPLEX._search(Counted(T3, w), T3, w,
                             lambda p, gap, var, lam: (-1.0, 0.0), 0.0, 0.0)
         spread = 0.13 * 2.0 ** j
         # lam = 0, then lam * spread = 2, 4, ..., 2^100

@@ -18,7 +18,7 @@ from .blocks import (ChordConstruction, ConvergenceRecord,
                      achievability_check, chord, convergence_sweep, sweep_csv)
 from .ccghc import CcGhcResult, ccghc, tilt
 from .codes import (PrefixCode, SymbolAlphabet, canonical_code, load_code,
-                    parse_code_table, save_code, verify_kraft)
+                    parse_code_table, verify_kraft)
 from .errors import (CodeFormatError, ConvergenceError, DymatchError,
                      InfeasibleConstraintError, SizeCapError)
 from .ghc import brute_force_dyadic, ghc
@@ -45,6 +45,6 @@ __all__ = [
     "decompress_bits", "distance_cost_curve", "facade_stats",
     "geometry_identity_residual", "ghc", "kl_divergence", "kronecker_cost",
     "kronecker_pmf", "load_code", "match_bits", "parse_code_table",
-    "run_facade", "save_code", "solve_simplex", "sweep_csv", "tilt",
+    "run_facade", "solve_simplex", "sweep_csv", "tilt",
     "tilted_pmf", "unmatch_symbols", "verify_kraft",
 ]

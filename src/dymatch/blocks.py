@@ -106,6 +106,12 @@ def chord(t: Pmf, w: CostVector, E_star: float,
             so large that D(E*) + epsilon reaches D's limit or E' rounds
             to the cheapest supported cost; E_star NaN.
     """
+    return _chord(t, w, E_star, epsilon)[0]
+
+
+def _chord(t: Pmf, w: CostVector, E_star: float, epsilon: float) -> tuple:
+    """chord's construction and the relaxed solution at E_star it starts
+    from, so a caller that needs D(E*) too solves once."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     sol = solve_simplex(t, w, E_star)
@@ -133,7 +139,7 @@ def chord(t: Pmf, w: CostVector, E_star: float,
                          f"chord: xi = {xi} lies outside the tangent "
                          f"slopes ({sol.lam}, {prime.lam})")
     return ChordConstruction(E_prime=prime.E, E_mid=0.5 * (prime.E + sol.E),
-                             xi=xi)
+                             xi=xi), sol
 
 
 def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
@@ -150,11 +156,11 @@ def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
     """
     S_exact = as_fraction(S)
     E = as_float(S_exact, "budget")
-    ch = chord(t, w, E, epsilon)
+    ch, sol = _chord(t, w, E, epsilon)
     tk = kronecker_pmf(t, k)
     vk = kronecker_cost(w, k)
     res = ccghc(tk, vk, k * S_exact)
-    record = _record(k, res, solve_simplex(t, w, E).D)
+    record = _record(k, res, sol.D)
     ok = res.cost_exact <= k * S_exact
     d_xi = ghc(tilt(tk, vk, ch.xi))
     if average_cost_exact(d_xi, vk) <= k * S_exact:

@@ -213,8 +213,8 @@ class CcGhcResult:
     cost_exact: Fraction
     dual_bound: float
 
-    def to_dict(self, include_trace: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "lengths": list(self.d.lengths),
             "lambda_star": self.lambda_star,
             "cost": self.cost,
@@ -222,11 +222,6 @@ class CcGhcResult:
             "iterations": self.iterations,
             "bracket": list(self.bracket),
         }
-        if include_trace:
-            out["dual_bound"] = self.dual_bound
-            out["trace"] = [{"lambda": e.lam, "cost": e.cost, "kl": e.kl,
-                             "feasible": e.feasible} for e in self.trace]
-        return out
 
 
 def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:

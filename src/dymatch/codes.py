@@ -1,11 +1,11 @@
 """Prefix codes: canonical assignment, Kraft verification, and
-code-table files.
+code-table text.
 
 A code table file is UTF-8 text, one entry per line as
 <symbol-or-block><TAB><bitstring>, with # starting a comment line and
 blank lines ignored. A block is written as its symbols concatenated
 (lmr), and each space as _. table_token is the one rule for what a
-symbol may be: it refuses, when a table is written, a symbol the file
+symbol may be: format_code_table refuses through it a symbol the file
 would not give back, and the command line applies it to --alphabet
 before any work. SymbolAlphabet holds only order and distinctness.
 """
@@ -123,10 +123,6 @@ class PrefixCode:
     def __repr__(self) -> str:
         return f"PrefixCode({len(self.entries)} entries)"
 
-    @property
-    def symbols(self) -> tuple:
-        return tuple(s for s, _ in self.entries)
-
     def parse(self, bits: str) -> tuple:
         """Symbols of the longest run of whole codewords that starts bits,
         and the position where the run stops.
@@ -152,10 +148,6 @@ class PrefixCode:
     @property
     def max_length(self) -> int:
         return max(len(b) for _, b in self.entries)
-
-    @property
-    def is_complete(self) -> bool:
-        return verify_kraft(self) == 1
 
 
 def verify_kraft(code) -> Fraction:
@@ -299,15 +291,7 @@ def load_code(path) -> PrefixCode:
         raise CodeFormatError(str(e)) from e
 
 
-def format_code_table(code: PrefixCode, header: str = "") -> str:
+def format_code_table(code: PrefixCode) -> str:
     """Code-table text that parse_code_table reads back identically."""
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
-    lines.extend(f"{table_token(sym)}\t{bits}" for sym, bits in code.entries)
-    return "\n".join(lines) + "\n"
-
-
-def save_code(code: PrefixCode, path, header: str = "") -> None:
-    """Write a code table file that load_code reads back identically."""
-    Path(path).write_text(format_code_table(code, header), encoding="utf-8")
+    return "".join(f"{table_token(sym)}\t{bits}\n"
+                   for sym, bits in code.entries)

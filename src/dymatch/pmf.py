@@ -9,7 +9,8 @@ power-of-two scale (2^-l = 2^(top-l) / 2^top), so boundary comparisons of
 the form "cost <= budget" never depend on float rounding. Fraction
 appears only at the edge: as_fraction parses inputs, CostVector.exact
 builds the rational view on demand, and the exact checks return their
-sums as Fractions.
+sums as Fractions. Pmfs and cost vectors are read from JSON arrays of
+numbers and decimal strings (from_json); nothing here writes JSON.
 """
 from __future__ import annotations
 
@@ -115,10 +116,6 @@ class Pmf:
                 "pmf entries must be finite and non-negative") from None
         return cls(np.array(probs))
 
-    def to_json(self) -> str:
-        """JSON array of decimal strings, safe to round-trip through text."""
-        return json.dumps([repr(float(p)) for p in self.probs])
-
     def __len__(self) -> int:
         return len(self.probs)
 
@@ -170,9 +167,6 @@ class DyadicPmf:
         arr = np.ldexp(1.0, -lengths.astype(np.int64))
         arr.flags.writeable = False
         return arr
-
-    def support(self) -> tuple:
-        return tuple(i for i, l in enumerate(self.lengths) if l is not None)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -239,9 +233,6 @@ class CostVector:
         """Parse a JSON array of decimal strings (plain numbers accepted)."""
         return cls(_json_numbers(text))
 
-    def to_json(self) -> str:
-        return json.dumps([_decimal_str(c) for c in self.exact])
-
     def __len__(self) -> int:
         return len(self.nums)
 
@@ -255,18 +246,6 @@ class CostVector:
         return len(self) == len(other) and all(
             a * other.den == b * self.den
             for a, b in zip(self.nums, other.nums))
-
-
-def _decimal_str(f: Fraction) -> str:
-    """Shortest exact decimal string when the denominator is 2^a 5^b,
-    else the float repr."""
-    den = f.denominator
-    for p in (2, 5):
-        while den % p == 0:
-            den //= p
-    if den == 1:
-        return str(Decimal(f.numerator) / Decimal(f.denominator))
-    return repr(float(f))
 
 
 def kraft_sum(lengths) -> Fraction:

@@ -336,16 +336,30 @@ class TestChordOracle:
 
 
 class TestAchievability:
+    """The record is the sweep's at the same k: ccghc's point against the
+    relaxed optimum at S."""
+
     def test_facade_small_k(self, facade_t, facade_w):
+        sweep = convergence_sweep(facade_t, facade_w, S, 3)
         for k in (1, 2, 3):
             ok, rec = achievability_check(facade_t, facade_w, S, 0.01, k)
             assert ok
-            assert rec.k == k
+            assert rec == sweep[k - 1]
             assert rec.cost_per_symbol <= float(S) + 1e-15
 
     def test_facade_k6(self, facade_t, facade_w):
         ok, rec = achievability_check(facade_t, facade_w, S, 0.01, 6)
         assert ok
+        assert rec == convergence_sweep(facade_t, facade_w, S, 6)[-1]
+
+    def test_one_relaxed_solve(self, facade_t, facade_w, monkeypatch):
+        # chord's solve at S also gives the record its D(S)
+        calls = []
+        solve = BLOCKS_MODULE.solve_simplex
+        monkeypatch.setattr(BLOCKS_MODULE, "solve_simplex",
+                            lambda *args: calls.append(args) or solve(*args))
+        achievability_check(facade_t, facade_w, S, 0.01, 2)
+        assert len(calls) == 1
 
     def test_budget_past_float_range(self, facade_t, facade_w):
         # named in a ValueError, as the sweep names it, not raised as an
@@ -365,6 +379,7 @@ class TestAchievability:
         budget = float(sum(f * c for f, c in zip(t, w.exact))) + 0.1
         ok, rec = achievability_check(t, w, round(budget, 4), 0.01, 1)
         assert ok
+        assert (rec,) == convergence_sweep(t, w, round(budget, 4), 1)
 
     def test_random_instances(self):
         rng = np.random.default_rng(42)
@@ -374,9 +389,11 @@ class TestAchievability:
             lo, hi = float(min(w.exact)), float(
                 sum(f * c for f, c in zip(t, w.exact)))
             budget = round(lo + rng.uniform(0.2, 0.9) * (hi - lo), 4)
+            sweep = convergence_sweep(t, w, budget, 4)
             for k in (1, 2, 3, 4):
-                ok, _ = achievability_check(t, w, budget, 0.01, k)
+                ok, rec = achievability_check(t, w, budget, 0.01, k)
                 assert ok, (list(t), [str(c) for c in w.exact], budget, k)
+                assert rec == sweep[k - 1]
 
 
 class TestLagrangianDominanceOnTrace:

@@ -40,6 +40,18 @@ MATCH_SHA256 = {
     10: "5fbdfce7bdcf51e49646692c582942402e76f16f51ea84925e2422c903f92cc6",
 }
 
+# sha256 of stdout on the facade for the other solving subcommands, keyed
+# by their arguments past --target and --costs, taken after both relaxed
+# searches tilted once per step: a moved last digit shows here
+SOLVE_SHA256 = {
+    "sweep --budget 0.2063 --kmax 8":
+        "98d618117837b8bfa2306873056862136555a8665c10c6e6738edef14388f885",
+    "curve --grid 0.181:0.223:50":
+        "fe34a3d47e9b8444f1f1c3e9e704a20cb49b35899c0bc5ebc00553d7cdcb3291",
+    "optimal --budget 0.2063":
+        "051bb188e9674af085b8496e58b65260a44553f19ab4c67a639f1e307fb70676",
+}
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -615,6 +627,15 @@ class TestUsageErrors:
                           "--costs", files["costs"],
                           "--budget", "0.22"], capsys)
         assert code == 3
+
+
+@pytest.mark.parametrize("args", sorted(SOLVE_SHA256))
+def test_facade_output_pinned(files, capsys, args):
+    command, *rest = args.split()
+    code, out, _ = run([command, "--target", files["target"],
+                        "--costs", files["costs"], *rest], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_SHA256[args]
 
 
 def test_module_entry_point(files):

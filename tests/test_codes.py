@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dymatch import (CodeFormatError, DyadicPmf, PrefixCode, SymbolAlphabet,
                      canonical_code, load_code, parse_code_table,
-                     save_code, verify_kraft)
+                     verify_kraft)
 from dymatch.cli import _parse_alphabet
 from dymatch.codes import format_code_table, prefix_violations, table_token
 from dymatch.facade import matcher_code, source_code
@@ -120,9 +120,9 @@ class TestPrefixCode:
     def test_basic_lookup(self):
         code = PrefixCode([("a", "0"), ("b", "10"), ("c", "11")])
         assert code.bits_for("b") == "10"
-        assert code.symbols == ("a", "b", "c")
+        assert code.entries == (("a", "0"), ("b", "10"), ("c", "11"))
         assert code.max_length == 2
-        assert code.is_complete
+        assert verify_kraft(code) == 1
 
     def test_rejects_prefix_violation(self):
         with pytest.raises(ValueError):
@@ -151,7 +151,6 @@ class TestPrefixCode:
 
     def test_incomplete_allowed_but_flagged(self):
         code = PrefixCode([("a", "0"), ("b", "10")])
-        assert not code.is_complete
         assert verify_kraft(code) == Fraction(3, 4)
 
     def test_immutable(self):
@@ -200,11 +199,11 @@ class TestCanonicalCode:
         code = canonical_code(d, tuple("abcdef"))
         assert sorted(len(b) for _, b in code.entries) == sorted(
             l for l in d.lengths)
-        assert code.is_complete
+        assert verify_kraft(code) == 1
 
     def test_dropped_symbols_get_no_codeword(self):
         code = canonical_code(DyadicPmf((1, None, 1)), ("a", "b", "c"))
-        assert code.symbols == ("a", "c")
+        assert [s for s, _ in code.entries] == ["a", "c"]
 
     def test_alphabet_index_breaks_length_ties(self):
         # b and c share length 2; b comes first in the names
@@ -236,7 +235,7 @@ class TestCanonicalCode:
         blocks = tuple(map("".join, itertools.product("lrm", repeat=3)))
         rebuilt = canonical_code(DyadicPmf(lengths), blocks)
         assert sorted(len(b) for _, b in rebuilt.entries) == sorted(lengths)
-        assert rebuilt.is_complete
+        assert verify_kraft(rebuilt) == 1
 
 
 class TestShippedTables:
@@ -268,21 +267,21 @@ class TestShippedTables:
 class TestCodeTableIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "code.tsv"
-        save_code(source_code(), path, header="round trip check")
+        path.write_text(format_code_table(source_code()), encoding="utf-8")
         again = load_code(path)
         assert again == source_code()
 
     def test_space_symbol_round_trip(self, tmp_path):
         code = PrefixCode([(" ", "0"), ("a", "1")])
         path = tmp_path / "space.tsv"
-        save_code(code, path)
+        path.write_text(format_code_table(code), encoding="utf-8")
         assert load_code(path).bits_for(" ") == "0"
         assert "_\t0" in path.read_text()
 
-    def test_underscore_symbol_rejected_on_save(self, tmp_path):
+    def test_underscore_symbol_rejected_on_save(self):
         code = PrefixCode([("x_y", "0"), ("a", "1")])
         with pytest.raises(ValueError):
-            save_code(code, tmp_path / "bad.tsv")
+            format_code_table(code)
 
     @pytest.mark.parametrize("sym", ["#a", "", "a\tb", "a\nb", "\u00a0",
                                      "a\x1cb"])
@@ -291,7 +290,8 @@ class TestCodeTableIO:
         # not at all; nothing is written
         path = tmp_path / "bad.tsv"
         with pytest.raises(ValueError, match="is empty, starts with '#'"):
-            save_code(PrefixCode([(sym, "0"), ("b", "1")]), path)
+            path.write_text(format_code_table(
+                PrefixCode([(sym, "0"), ("b", "1")])), encoding="utf-8")
         assert not path.exists()
 
     @pytest.mark.parametrize("sym", ["a#", " #", "a b", "  ", " a ",
@@ -300,21 +300,20 @@ class TestCodeTableIO:
         # a space is written as _, and only a leading # starts a comment
         path = tmp_path / "ok.tsv"
         code = PrefixCode([(sym, "0"), ("b", "1")])
-        save_code(code, path)
+        path.write_text(format_code_table(code), encoding="utf-8")
         assert load_code(path) == code
 
     @given(st.lists(st.text(alphabet="ab _#\t\u00a0", max_size=4),
-                    min_size=1, max_size=6, unique=True),
-           st.text(alphabet="ab #\n", max_size=8))
-    @example(["#a", "b"], "")
-    @example([" ", "a#"], "#")
-    def test_accepted_code_reads_back_equal(self, symbols, header):
+                    min_size=1, max_size=6, unique=True))
+    @example(["#a", "b"])
+    @example([" ", "a#"])
+    def test_accepted_code_reads_back_equal(self, symbols):
         # every code the writer accepts is the code the reader gives back
         n = len(symbols).bit_length()
         code = PrefixCode((s, format(i, f"0{n}b"))
                           for i, s in enumerate(symbols))
         try:
-            text = format_code_table(code, header)
+            text = format_code_table(code)
         except ValueError:
             return
         assert PrefixCode(parse_code_table(text)) == code

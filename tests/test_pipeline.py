@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dymatch import (CodeFormatError, CostVector, Pmf, PrefixCode,
                      as_fraction, ccghc, canonical_code, compress_text,
                      decompress_bits, facade_stats, kronecker_cost,
-                     kronecker_pmf, match_bits, run_facade, unmatch_symbols)
+                     kronecker_pmf, match_bits, run_facade, unmatch_symbols,
+                     verify_kraft)
 from dymatch.facade import (SLAT_ALPHABET, SLAT_COSTS, TARGET, matcher_code,
                             source_code)
 
@@ -226,7 +227,7 @@ class TestParseDifferential:
     @given(bits=bits_strategy)
     def test_match(self, name, bits):
         code = self.CODES[name]
-        if not code.is_complete:
+        if verify_kraft(code) != 1:
             with pytest.raises(ValueError):
                 match_bits(bits, code)
             return

@@ -72,9 +72,7 @@ def convergence_sweep(t: Pmf, w: CostVector, S: Number, k_max: int) -> tuple:
     d_opt = solve_simplex(t, w, as_float(S_exact, "budget")).D
     records = []
     for k in range(1, k_max + 1):
-        tk = kronecker_pmf(t, k)
-        vk = kronecker_cost(w, k)
-        res = ccghc(tk, vk, k * S_exact)
+        res = ccghc(t, w, k * S_exact, k)
         records.append(_record(k, res, d_opt))
     return tuple(records)
 
@@ -159,7 +157,7 @@ def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
     ch, sol = _chord(t, w, E, epsilon)
     tk = kronecker_pmf(t, k)
     vk = kronecker_cost(w, k)
-    res = ccghc(tk, vk, k * S_exact)
+    res = ccghc(t, w, k * S_exact, k)
     record = _record(k, res, sol.D)
     ok = res.cost_exact <= k * S_exact
     d_xi = ghc(tilt(tk, vk, ch.xi))

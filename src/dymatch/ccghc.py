@@ -22,20 +22,26 @@ piecewise linear, and each probe gives one of its lines, kl + lambda
    feasible one: the probes turn feasible at x. x stays unset if a
    crossing does not land strictly inside (a, b).
 3. Replay: the bisection from the step-1 bracket, halving by the rule
-   ccghc states. A midpoint outside (a, b) takes its side from the
-   probes, one farther than REPLAY * max(x, 1 / spread) from x its side
-   from x, and the rest are probed. The final bracket's feasible end is
+   ccghc states. A midpoint within REPLAY * max(x, 1 / spread) of x is
+   probed, any other outside (a, b) takes its side from the probes, and
+   the rest take theirs from x. The final bracket's feasible end is
    probed, for the result, and so is its infeasible end if it lies
    above a. A side wrongly taken from x leaves one of them on the wrong
    side; then the bisection runs again without x (1 of the 99840
    random-small instances of seeds 1-40).
 
-As feasibility only turns once as lambda rises, the replay ends in the
-bisection's bracket, with its lambda_star, iterations and result. On the
-facade at k = 1..10 the search runs 8-10 probes, where the bisection
-runs 37-38, and 8.1 per random-small solve against 34.0. Stopping at x
-instead would move lambda_star and, where trees tie, can return another
-tie member of other KL.
+   Near x, the tilt's rounding can break the order: where the lines
+   cross at exactly 20, the crossing computed in floats, an ulp above
+   20, gave an infeasible tree, and the midpoint 20 a feasible one. So
+   the midpoints near x are probed even outside (a, b); on the
+   random-small seeds 1-3 that is one more probe on 16 of 7488 solves.
+
+As feasibility turns once as lambda rises, away from that rounding near
+x, the replay ends in the bisection's bracket, with its lambda_star,
+iterations and result. On the facade at k = 1..10 the search runs 8-10
+probes, where the bisection runs 37-38, and 8.1 per random-small solve
+against 34.0. Stopping at x instead would move lambda_star and, where
+trees tie, can return another tie member of other KL.
 
 The result is a Lagrangian point, not in general the constrained
 minimizer at S. It minimizes kl + lambda_star * cost over all dyadic
@@ -61,6 +67,24 @@ classes that tie, as those of one target do at multiplier 0 (all of the
 facade's do), take their turns in that order, and each pairs its own
 blocks first.
 
+For blocks of k symbols the classes are built from the symbols', not
+from the m^k leaves (_type_classes). Level 1 is group_leaves over the m
+symbols, as for k = 1. A leaf of level j + 1 is a leaf i of level j
+followed by a symbol s, at index i * m + s, and kronecker_pmf and
+kronecker_cost give it the target t_i * t_s and the cost numerator
+n_i + n_s. All leaves of a class share its key, so the class c paired
+with s maps every one of them to the key (target_c * t_s, num_c + n_s),
+the same float product and integer sum: the pairs of equal key form the
+classes of level j + 1. The pair (c, s) first appears at
+first_c * m + s, and with the classes in order of first appearance the
+pairs in the order c * m + s are too, so each new class is numbered at
+its first pair, in order of its first appearance, which is the smallest
+of its pairs'. The leaves' class ids at level j + 1 are a gather of the
+pairs' ids by the ids at level j, and one stable sort of them gives the
+layout. A target such as (0.2, 0.3, 0.5) gives blocks of one symbol
+multiset different floats in different orders; they are different keys
+here as they are on the leaves.
+
 A probe then costs its merge plus a sum over the blocks of the code
 tree. A block (depth, c, pos, d) holds 2^d leaves of class c, each of
 probability 2^-(depth + d), so it adds 2^-depth to the Kraft sum,
@@ -72,7 +96,8 @@ kl_divergence on the expanded probabilities in the last bits (by at
 most 1.5e-15 relative over every probe on the facade at k <= 10 and on
 seeded and tie-heavy random instances).
 
-The result is certified once on the leaves. ghc recomputes the lengths
+The result is certified once on the leaves, which for k > 1 are built
+by kronecker_pmf and kronecker_cost for it. ghc recomputes the lengths
 at lambda_star from the leaf tilt. Where type classes tie there, ghc
 lays them out as one class in index order, so it can return another
 tree than the probe's, of the same value of kl + lambda_star * cost:
@@ -99,7 +124,8 @@ import numpy as np
 from .errors import ConvergenceError, InfeasibleConstraintError
 from .ghc import _as_weights, ghc, group_leaves, leaf_lengths, merge_classes
 from .pmf import (CostVector, DyadicPmf, Number, Pmf, as_fraction,
-                  average_cost_exact, kl_divergence)
+                  average_cost_exact, kl_divergence, kronecker_cost,
+                  kronecker_pmf)
 
 # relative bracket width at which ccghc's bisection stops (see ccghc)
 WIDTH = 2.0 ** -32
@@ -166,6 +192,34 @@ def tilt(t, w: CostVector, lam: float) -> np.ndarray:
     return _Tilt(t, w)(lam)
 
 
+def _type_classes(t: Pmf, w: CostVector, k: int) -> tuple:
+    """group_leaves(zip(tk.probs.tolist(), wk.nums)) for the k-symbol
+    blocks tk = kronecker_pmf(t, k) and wk = kronecker_cost(w, k), built
+    over classes: (keys, order, starts), with keys the classes' (target,
+    cost numerator) in order of first appearance (see the module
+    docstring)."""
+    symbols = list(zip(t.probs.tolist(), w.nums))
+    keys, order, starts = group_leaves(symbols)
+    if k == 1:
+        return keys, order, starts
+    # the class of each leaf of the current level
+    ids = np.empty(len(symbols), dtype=np.intp)
+    for c in range(len(keys)):
+        ids[order[starts[c]:starts[c + 1]]] = c
+    for _ in range(k - 1):
+        # pair c * m + s is class c followed by symbol s; each new key
+        # gets the next class id at its first pair
+        index: dict = {}
+        child = [index.setdefault((p * q, n + r), len(index))
+                 for p, n in keys for q, r in symbols]
+        keys = list(index)
+        ids = np.array(child, dtype=np.intp).reshape(-1, len(symbols))[
+            ids].ravel()
+    order = np.argsort(ids, kind="stable")
+    starts = [0, *np.cumsum(np.bincount(ids)).tolist()]
+    return keys, order.tolist(), starts
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """One solver probe: the multiplier tried and what it produced.
@@ -224,8 +278,10 @@ class CcGhcResult:
         }
 
 
-def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
-    """Feasible dyadic pmf close in KL to t under w^T d <= S.
+def ccghc(t: Pmf, w: CostVector, S: Number, k: int = 1) -> CcGhcResult:
+    """Feasible dyadic pmf close in KL to t^k under w_k^T d <= S, for the
+    blocks of k symbols: t^k is kronecker_pmf(t, k) and w_k
+    kronecker_cost(w, k), which are t and w at k = 1.
 
     The returned d is the class merge of the tilt at lambda_star, which
     is ghc of the leaf tilt up to how ties are broken: it minimizes
@@ -238,7 +294,11 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     Arguments:
         t: target pmf.
         w: costs, one per symbol.
-        S: budget; decimal strings and Fractions are honored exactly.
+        S: budget per block; decimal strings and Fractions are honored
+            exactly.
+        k: blocklength. The type classes of the blocks are built from
+            those of the symbols (see the module docstring); the leaves
+            are built only for the certificate.
 
     Returns:
         CcGhcResult. If ghc(t) is already feasible the search is skipped
@@ -253,7 +313,9 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
         the bisection that probes every midpoint.
 
     Raises:
-        InfeasibleConstraintError: S below the cheapest supported symbol,
+        SizeCapError: k > 1 and m^k past SIZE_CAP, checked before any
+            class is built.
+        InfeasibleConstraintError: S below the cheapest supported block,
             or equal costs everywhere that exceed S.
         ConvergenceError: no feasible multiplier lambda with
             lambda * spread up to 2^100 (the bisection has no iteration
@@ -262,9 +324,12 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
     S_exact = as_fraction(S)
+    # the leaves, for the certificate; the builds check the size cap
+    leaves, costs = (t, w) if k == 1 else (kronecker_pmf(t, k),
+                                           kronecker_cost(w, k))
     # type classes: leaves with equal target weight and equal cost, which
     # tilt to equal weights at every multiplier
-    keys, order, starts = group_leaves(zip(t.probs.tolist(), w.nums))
+    keys, order, starts = _type_classes(t, w, k)
     cnum = [n for _, n in keys]
     tilted = _Tilt(np.array([p for p, _ in keys]),
                    CostVector._scaled(tuple(cnum), w.den))
@@ -277,8 +342,8 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
             f"budget {S_exact} is below the cheapest supported symbol cost "
             f"{cheapest}")
     S_num, S_den = S_exact.numerator, S_exact.denominator
-    # a block has 2^d <= len(t) leaves, so d < bits
-    bits = len(t).bit_length()
+    # a block has 2^d <= len(leaves) leaves, so d < bits
+    bits = len(leaves).bit_length()
     # every probe that ran, in order: multiplier -> (its Evaluation, and
     # merge_classes' blocks, the exact cost as numerator and denominator
     # and the KL when feasible, else None)
@@ -355,17 +420,20 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
         probe(cross)
 
     def halve(lo: float, u: float, x):
-        """Bisect (lo, u) to the stopping width. A midpoint outside
-        (a, b) takes its side from the probes, and one farther than
-        REPLAY * max(x, 1 / spread) from x its side from x; any other is
-        probed. Returns the final bracket and the halvings."""
+        """Bisect (lo, u) to the stopping width. A midpoint within
+        REPLAY * max(x, 1 / spread) of x is probed, any other outside
+        (a, b) takes its side from the probes, and the rest take theirs
+        from x, or are probed if x is None. Returns the final bracket and
+        the halvings."""
         iterations = 0
         mid = 0.5 * (lo + u)
         while lo < mid < u and u - lo >= WIDTH * max(u, 1 / spread):
             iterations += 1
-            if not a < mid < b:
+            if x is not None and abs(mid - x) <= REPLAY * max(x, 1 / spread):
+                feasible = probe(mid)
+            elif not a < mid < b:
                 feasible = mid >= b
-            elif x is None or abs(mid - x) <= REPLAY * max(x, 1 / spread):
+            elif x is None:
                 feasible = probe(mid)
             else:
                 feasible = mid > x
@@ -386,16 +454,17 @@ def ccghc(t: Pmf, w: CostVector, S: Number) -> CcGhcResult:
     # certify the class probe at u on the leaves themselves
     blocks, num, den, probe_kl = found
     cost = Fraction(num, den)
-    lengths = tuple(leaf_lengths(blocks, order, len(t)))
-    d = ghc(tilt(t, w, u))
+    lengths = tuple(leaf_lengths(blocks, order, len(leaves)))
+    d = ghc(tilt(leaves, costs, u))
     value = None
     if d.lengths != lengths:
         # ghc laid out type classes tied at u as one: the result is the
         # probe's tree, which must reach ghc's value of kl + u * cost
-        value = kl_divergence(d, t) + u * float(average_cost_exact(d, w))
+        value = (kl_divergence(d, leaves)
+                 + u * float(average_cost_exact(d, costs)))
         d = DyadicPmf(lengths)
-    kl = kl_divergence(d, t)
-    if (average_cost_exact(d, w) != cost or not ties(probe_kl, kl)
+    kl = kl_divergence(d, leaves)
+    if (average_cost_exact(d, costs) != cost or not ties(probe_kl, kl)
             or value is not None and not ties(kl + u * float(cost), value)):
         raise RuntimeError(f"the class merge at lambda {u!r} disagrees "
                            "with ghc on the leaves")

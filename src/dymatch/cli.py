@@ -25,8 +25,7 @@ from .errors import CodeFormatError, DymatchError, InfeasibleConstraintError, \
     SizeCapError
 from .facade import SLAT_ALPHABET
 from .pipeline import decompress_bits, run_facade, unmatch_symbols
-from .pmf import CostVector, Pmf, as_float, as_fraction, kronecker_cost, \
-    kronecker_pmf
+from .pmf import CostVector, Pmf, as_float, as_fraction
 from .simplex import curve_csv, distance_cost_curve, solve_simplex
 
 
@@ -95,7 +94,7 @@ def _cmd_match(args) -> int:
     # and spelled exactly when the tokens are
     if k > 1 and any(len(s) != 1 for s in alphabet):
         raise ValueError("block extension needs single-character symbols")
-    res = ccghc(kronecker_pmf(t, k), kronecker_cost(w, k), k * S)
+    res = ccghc(t, w, k * S, k)
     blocks = tuple(map("".join, itertools.product(alphabet, repeat=k)))
     # a result that has no code table fails before any output
     table = format_code_table(canonical_code(res.d, blocks))

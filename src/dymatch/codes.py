@@ -14,9 +14,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CodeFormatError
 from .pmf import DyadicPmf, kraft_sum
@@ -25,6 +28,8 @@ SPACE_TOKEN = "_"
 
 # the first character of a bit string that is not a bit
 _NOT_A_BIT = re.compile("[^01]")
+# a string from its fourth character on
+_AFTER_0B1 = itemgetter(slice(3, None))
 
 
 def validate_bits(bits: str) -> None:
@@ -89,13 +94,27 @@ class PrefixCode:
         if violations:
             (_, a), (_, b) = violations[0]
             raise ValueError(f"codeword {a!r} is a prefix of {b!r}")
-        object.__setattr__(self, "entries", pairs)
+        self._set(pairs, by_symbol, {b: s for s, b in pairs},
+                  tuple(sorted({len(b) for _, b in pairs})))
+
+    @classmethod
+    def _checked(cls, entries: tuple, by_symbol: dict, by_bits: dict,
+                 lengths: tuple) -> "PrefixCode":
+        """Instance from the parts __init__ builds, whose checks the
+        caller has made: entries as (symbol, bits) string pairs, symbol
+        to bits, bits to symbol, and the distinct codeword lengths in
+        ascending order."""
+        out = cls.__new__(cls)
+        out._set(entries, by_symbol, by_bits, lengths)
+        return out
+
+    def _set(self, entries, by_symbol, by_bits, lengths) -> None:
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_by_symbol", by_symbol)
         # parse's index: codeword to symbol, and the distinct codeword
         # lengths in ascending order
-        object.__setattr__(self, "_by_bits", {b: s for s, b in pairs})
-        object.__setattr__(self, "_lengths",
-                           tuple(sorted({len(b) for _, b in pairs})))
+        object.__setattr__(self, "_by_bits", by_bits)
+        object.__setattr__(self, "_lengths", lengths)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixCode is immutable")
@@ -184,36 +203,77 @@ def prefix_violations(pairs) -> list:
 
 
 def canonical_code(d: DyadicPmf, names: Sequence[str]) -> PrefixCode:
-    """Assign codewords to a dyadic pmf canonically.
+    """Assign codewords to a dyadic pmf canonically (Schwartz and Kallick
+    1964).
 
-    names[i] names symbol i of d. Symbols are ordered by (length
-    ascending, index ascending); each codeword is the previous one
-    incremented then left-shifted to the new length, starting from all
-    zeros. Kraft equality of d makes the result prefix-free and complete
-    by construction. Symbols with probability 0 get no codeword, and
-    PrefixCode refuses a name given to two that get one.
+    names[i], a string, names symbol i of d. Symbols are ordered by
+    (length ascending, index ascending); each codeword is the previous
+    one incremented then left-shifted to the new length, starting from
+    all zeros. Symbols with probability 0 get no codeword.
+
+    The code is verified as it is built, by checks that run at C speed:
+    the counter ends at exactly 2^max_len, which is Kraft sum 1, so the
+    code is complete; the codewords, in the order they were assigned,
+    each sort after the previous one and do not extend it, which for a
+    sorted sequence is prefix-freeness, since a codeword between a prefix
+    and its extension extends the prefix too; and the symbols that get a
+    codeword have distinct names, by the size of the symbol index. So
+    the PrefixCode is built from these parts without rerunning its own
+    checks, which convert each entry, sort every codeword and walk them
+    with a stack.
+
+    Raises:
+        ValueError: d and names differ in length, d puts all its mass on
+            one symbol (a one-symbol code has no bits to parse), d's
+            lengths are not complete, or two symbols that get a codeword
+            share a name (PrefixCode's "duplicate symbol" message).
     """
     if len(d) != len(names):
         raise ValueError(f"length mismatch: {len(d)} vs {len(names)}")
-    # each length's symbols in index order
-    groups: dict = {}
-    for i, l in enumerate(d.lengths):
-        if l is not None:
-            groups.setdefault(l, []).append(i)
-    if 0 in groups:
+    lengths = np.array(d.lengths, dtype=float)  # None becomes NaN
+    kept = ~np.isnan(lengths)
+    if not kept.all():
+        names = list(compress(names, kept.tolist()))
+        lengths = lengths[kept]
+    lengths = lengths.astype(np.intp)
+    counts = np.bincount(lengths)
+    if counts[0]:
         raise ValueError(f"cannot assign an empty codeword: the pmf puts "
-                         f"all its mass on {names[groups[0][0]]!r}, and a "
-                         f"one-symbol code has no bits to parse")
-    bits: list = [None] * len(names)
-    code = prev_len = 0
-    for l in sorted(groups):
-        code <<= l - prev_len
-        prev_len = l
-        spec = f"0{l}b"
-        for i in groups[l]:
-            bits[i] = format(code, spec)
-            code += 1
-    return PrefixCode([(s, b) for s, b in zip(names, bits) if b is not None])
+                         f"all its mass on {names[int(np.argmin(lengths))]!r}"
+                         f", and a one-symbol code has no bits to parse")
+    used = np.flatnonzero(counts).tolist()
+    # the codewords in assignment order, and by symbol
+    words: list = []
+    bits = np.empty(len(lengths), dtype=object)
+    code = top = 0
+    for l in used:
+        code <<= l - top
+        top = l
+        n = int(counts[l])
+        # bin of 2^l + x is '0b1' and then x in l digits
+        run = list(map(_AFTER_0B1, map(bin, range((1 << l) + code,
+                                                  (1 << l) + code + n))))
+        bits[lengths == l] = run
+        words += run
+        code += n
+    if code != 1 << top:
+        raise ValueError(f"Kraft sum is {Fraction(code, 1 << top)}, not 1")
+    if not all(map(lt, words, words[1:])) \
+            or any(map(str.startswith, words[1:], words)):
+        raise RuntimeError("canonical codewords out of order or not "
+                           "prefix-free")
+    bits = bits.tolist()
+    entries = tuple(zip(names, bits))
+    by_symbol = dict(entries)
+    if len(by_symbol) != len(entries):
+        # PrefixCode names the first repeat in entry order
+        seen = set()
+        for s in names:
+            if s in seen:
+                raise ValueError(f"duplicate symbol {s!r}")
+            seen.add(s)
+    return PrefixCode._checked(entries, by_symbol, dict(zip(bits, names)),
+                               tuple(used))
 
 
 def table_token(symbol: str) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .codes import PrefixCode, SymbolAlphabet, load_code
-from .pmf import CostVector, Pmf, as_fraction
+from .pmf import CostVector, Pmf
 
 # geometry: slat positions and the shadow width (in meters) each casts
 # into a 0.625 m slot
@@ -24,9 +24,6 @@ SLOT_WIDTH = 0.625
 
 # display target: all three positions equally often
 TARGET = Pmf.uniform(3)
-
-# shadow budget, meters per slot: a third of the slot width
-SHADOWING_BUDGET = as_fraction("0.2063")
 
 SLAT_COUNT = 4264
 

@@ -31,6 +31,9 @@ SIZE_CAP = 10_000_000
 
 _SUM_TOL = 1e-12
 
+# integers up to 2^53 are exact in int64 and in float64 alike
+_EXACT_INT = 2 ** 53
+
 Number = Union[int, float, str, Fraction, Decimal]
 
 
@@ -197,19 +200,23 @@ class CostVector:
                   den)
 
     @classmethod
-    def _scaled(cls, nums: tuple, den: int) -> "CostVector":
+    def _scaled(cls, nums: tuple, den: int, costs=None) -> "CostVector":
         """Instance from non-negative integer numerators over den, built
-        without any Fraction."""
+        without any Fraction; costs, if given, is the float view, each
+        n / den correctly rounded."""
         out = cls.__new__(cls)
-        out._set(nums, den)
+        out._set(nums, den, costs)
         return out
 
-    def _set(self, nums: tuple, den: int) -> None:
+    def _set(self, nums: tuple, den: int, costs=None) -> None:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         as_float(Fraction(max(nums), den), "cost")  # named past float range
-        # int / int is correctly rounded, so each entry equals float(exact)
-        object.__setattr__(self, "costs", _readonly([n / den for n in nums]))
+        if costs is None:
+            # int / int is correctly rounded, so each entry equals
+            # float(exact)
+            costs = [n / den for n in nums]
+        object.__setattr__(self, "costs", _readonly(costs))
 
     def __setattr__(self, name, value):
         raise AttributeError("CostVector is immutable")
@@ -332,7 +339,8 @@ def kronecker_pmf(t: Pmf, k: int) -> Pmf:
     check_size_cap(len(t), k)
     out = t.probs
     for _ in range(k - 1):
-        out = np.kron(out, t.probs)
+        # the Kronecker product of two vectors
+        out = np.multiply.outer(out, t.probs).ravel()
     return Pmf(out)
 
 
@@ -342,9 +350,18 @@ def kronecker_cost(w: CostVector, k: int) -> CostVector:
 
     Sums are taken over the integer numerators, all over w's denominator,
     so blocks whose cost multisets coincide stay exactly tied regardless
-    of addition order.
+    of addition order. Where the denominator and k times the largest
+    numerator are at most 2^53, they are taken in int64 and the float
+    view is their float64 quotient by the denominator: both operands are
+    exact, so it is correctly rounded, as int / int is.
     """
     check_size_cap(len(w), k)
+    if k * max(w.nums) <= _EXACT_INT and w.den <= _EXACT_INT:
+        symbols = np.array(w.nums, dtype=np.int64)
+        out = symbols
+        for _ in range(k - 1):
+            out = np.add.outer(out, symbols).ravel()
+        return CostVector._scaled(tuple(out.tolist()), w.den, out / w.den)
     out = w.nums
     for _ in range(k - 1):
         out = [a + b for a in out for b in w.nums]

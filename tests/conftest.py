@@ -22,7 +22,7 @@ from dymatch import (CcGhcResult, ConvergenceError, CostVector, DyadicPmf,
                      average_cost_exact, ghc, kl_divergence, kronecker_cost,
                      kronecker_pmf, tilt)
 from dymatch.ccghc import KL_AGREEMENT, WIDTH, Evaluation, _Tilt
-from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
+from dymatch.facade import SLAT_COSTS, TARGET
 from dymatch.ghc import (_as_weights, group_leaves, leaf_lengths,
                          merge_classes)
 
@@ -80,7 +80,7 @@ def facade_w() -> CostVector:
 
 @pytest.fixture
 def facade_budget():
-    return SHADOWING_BUDGET
+    return as_fraction("0.2063")
 
 
 def random_pmf(rng: np.random.Generator, m: int, floor: float = 0.01) -> Pmf:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_costs, random_pmf
+from conftest import random_pmf
 from dymatch import (as_fraction, brute_force_dyadic, ccghc, canonical_code,
                      compress_text, decompress_bits, distance_cost_curve,
                      geometry_identity_residual, ghc, kl_divergence,

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
-                     average_cost_exact, as_fraction, brute_force_dyadic,
-                     ccghc, ghc, kl_divergence, kronecker_cost,
-                     kronecker_pmf, solve_simplex, tilt)
+                     SizeCapError, average_cost_exact, as_fraction,
+                     brute_force_dyadic, ccghc, ghc, kl_divergence,
+                     kronecker_cost, kronecker_pmf, solve_simplex, tilt)
 from dymatch.ghc import _kraft_multisets, group_leaves, merge_classes
 from dymatch.pmf import _probs_of
 import conftest
@@ -545,6 +545,12 @@ class TestBisectionOracle:
         assert len(got.trace) < len(want.trace)
 
     @given(tie_heavy_instances())
+    # the dual's lines cross at exactly 20, where the tilt's rounding
+    # ties the trees: the crossing probed in floats, just above 20, is
+    # infeasible, and 20, the bisection's midpoint below it, feasible
+    @example((Pmf(np.array([0.2, 0.4, 0.4])), CostVector(("0.1", "0.2",
+                                                          "0.3")),
+              Fraction(3, 20)))
     def test_tie_heavy(self, instance):
         # a probe at a multiplier the bisection does not probe is where
         # the lines of two earlier probes, one infeasible and one
@@ -560,6 +566,69 @@ class TestBisectionOracle:
                            for a in got.trace[:i] if not a.feasible
                            for b in got.trace[:i]
                            if b.feasible and a.cost > b.cost)
+
+
+@st.composite
+def block_symbols(draw):
+    """(t, w, k): 2-6 symbols and blocklength 1-6, target weights from
+    {0, 1, 2, 3, 5}, whose products can depend on the order they are
+    taken in, and costs from a set of three, so that blocks tie."""
+    m = draw(st.integers(2, 6))
+    x = draw(st.lists(st.sampled_from((0, 1, 2, 3, 5)), min_size=m,
+                      max_size=m).filter(any))
+    costs = draw(st.sampled_from([(0, 1, 2), ("0.1", "0.2", "0.3"),
+                                  ("0.18", "0.31", "1")]))
+    w = CostVector(draw(st.lists(st.sampled_from(costs), min_size=m,
+                                 max_size=m)))
+    return Pmf(np.array(x, dtype=float) / sum(x)), w, draw(st.integers(1, 6))
+
+
+class TestBlockClasses:
+    """ccghc's type classes of the k-symbol blocks, built from the
+    symbols' classes, are those group_leaves finds on the Kronecker
+    leaves, and ccghc given the blocklength returns what it returns on
+    the leaves."""
+
+    # (2, 3, 5) / 10: t_0 t_0 t_1 differs with the order of the products
+    ORDERED = Pmf(np.array([0.2, 0.3, 0.5]))
+
+    @given(block_symbols())
+    @example((ORDERED, CostVector((0, 1, 1)), 3))
+    @example((ORDERED, CostVector(("0.1", "0.2", "0.3")), 6))
+    def test_same_as_group_leaves(self, instance):
+        t, w, k = instance
+        want = group_leaves(zip(kronecker_pmf(t, k).probs.tolist(),
+                                kronecker_cost(w, k).nums))
+        assert CCGHC_MODULE._type_classes(t, w, k) == want
+
+    def test_products_depend_on_order(self):
+        # the examples above hold blocks of one symbol multiset whose
+        # targets differ in the last bit, so they form separate classes
+        a, b = self.ORDERED.probs[:2].tolist()
+        assert a * a * b != a * b * a
+        keys, _, _ = CCGHC_MODULE._type_classes(self.ORDERED,
+                                                CostVector((0, 1, 1)), 3)
+        assert (a * a * b, 1) in keys and (a * b * a, 1) in keys
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_facade(self, k):
+        S = k * as_fraction("0.2063")
+        assert ccghc(T3, W3, S, k) \
+            == ccghc(kronecker_pmf(T3, k), kronecker_cost(W3, k), S)
+
+    def test_seeded_instances(self):
+        for t, w, k, S in conftest.seeded_instances():
+            for j in range(2, 5):
+                assert ccghc(t, w, j * S / k, j) == ccghc(
+                    kronecker_pmf(t, j), kronecker_cost(w, j), j * S / k)
+
+    def test_size_cap_before_classes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("type classes built past the size cap")
+
+        monkeypatch.setattr(CCGHC_MODULE, "_type_classes", refuse)
+        with pytest.raises(SizeCapError):
+            ccghc(T3, W3, 10 ** 7, 10 ** 7)
 
 
 class TestProbeCount:

@@ -214,9 +214,16 @@ class TestCanonicalCode:
         with pytest.raises(ValueError):
             canonical_code(DyadicPmf((0, None)), ("a", "b"))
 
-    @given(dropped_dyadic())
-    @example(DyadicPmf((None, 0, None)))
-    def test_same_as_sorted_assignment(self, d):
+    @given(dropped_dyadic(), st.text(alphabet="01", max_size=200))
+    @example(DyadicPmf((None, 0, None)), "")
+    # a caterpillar tree, one leaf at each depth: codewords past 64 bits,
+    # and past 1074, where 2^-l is 0 as a float
+    @example(DyadicPmf((*range(1, 71), 70, None)), "1" * 69 + "0" + "1" * 70)
+    @example(DyadicPmf((None, *range(1, 1101), 1100)),
+             "1" * 1099 + "0" + "1" * 1100 + "0")
+    def test_same_as_sorted_assignment(self, d, bits):
+        # the whole code, against the oracle built through PrefixCode's
+        # own checks: entries, lookup and parsing
         names = tuple(f"s{i}" for i in range(len(d)))
         try:
             want = sorted_canonical_code(d, names)
@@ -224,8 +231,38 @@ class TestCanonicalCode:
             with pytest.raises(ValueError) as err:
                 canonical_code(d, names)
             assert str(err.value) == str(e)
-        else:
-            assert canonical_code(d, names).entries == want.entries
+            return
+        got = canonical_code(d, names)
+        assert got == want
+        assert got.max_length == want.max_length
+        for name, l in zip(names, d.lengths):
+            assert (name in got) == (l is not None)
+            if l is not None:
+                assert got.bits_for(name) == want.bits_for(name)
+        assert got.parse(bits) == want.parse(bits)
+
+    def test_rejects_a_name_given_to_two_coded_symbols(self):
+        names = ("a", "b", "a")
+        with pytest.raises(ValueError) as want:
+            PrefixCode([("a", "0"), ("b", "10"), ("a", "11")])
+        with pytest.raises(ValueError, match="duplicate symbol 'a'") as err:
+            canonical_code(DyadicPmf((1, 2, 2)), names)
+        assert str(err.value) == str(want.value)
+
+    def test_accepts_a_name_repeated_on_a_dropped_symbol(self):
+        code = canonical_code(DyadicPmf((1, None, 1)), ("a", "a", "c"))
+        assert code.entries == (("a", "0"), ("c", "1"))
+        assert code.bits_for("a") == "0"
+
+    @pytest.mark.parametrize("lengths, kraft", [((1, 2), "3/4"),
+                                                ((1, 1, 1), "3/2")])
+    def test_counter_refuses_incomplete_lengths(self, lengths, kraft):
+        # lengths that bypassed DyadicPmf's Kraft check end the counter
+        # away from 2^max_len
+        d = object.__new__(DyadicPmf)
+        object.__setattr__(d, "lengths", lengths)
+        with pytest.raises(ValueError, match=f"Kraft sum is {kraft}, not 1"):
+            canonical_code(d, tuple("abc"[:len(lengths)]))
 
     def test_matcher_length_multiset(self):
         # same multiset as the shipped table; bit patterns are canonical,

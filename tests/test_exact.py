@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dymatch import (CostVector, DyadicPmf, as_fraction,
                      average_cost_exact, ccghc, kronecker_cost,
                      kronecker_pmf, verify_kraft)
-from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
+from dymatch.facade import SLAT_COSTS, TARGET
 from dymatch.pmf import kraft_sum
 from conftest import seeded_instances
 
@@ -119,6 +119,17 @@ class TestCostVector:
         assert list(got.costs) == [float(c) for c in want]
         assert got == CostVector(want)
 
+    @pytest.mark.parametrize("values", [(2 ** 52, 1, 3), (2 ** 53, 1, 3),
+                                        ("0.1", 2 ** 52), (0.1, 1)])
+    def test_kronecker_cost_at_the_int64_edge(self, values):
+        # at most 2^53 per block over a denominator of at most 2^53 sums
+        # in int64 and divides in float64; past it, in Python ints
+        w = CostVector(values)
+        want = fraction_kronecker(w.exact, 2)
+        got = kronecker_cost(w, 2)
+        assert got.exact == tuple(want)
+        assert list(got.costs) == [float(c) for c in want]
+
     def test_equality_across_denominators(self):
         # each block costs 1/4 + 1/4, kept over den 4; "0.5" has den 2
         v = kronecker_cost(CostVector(["0.25", "0.25"]), 2)
@@ -184,5 +195,5 @@ class TestCcGhcAgainstFractionPath:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
     def test_facade(self, monkeypatch, k):
         got, want = self._both(monkeypatch, TARGET, SLAT_COSTS, k,
-                               k * SHADOWING_BUDGET)
+                               k * as_fraction("0.2063"))
         assert got == want

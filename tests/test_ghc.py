@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dymatch import (CostVector, Pmf, as_fraction, brute_force_dyadic,
                      ccghc, ghc, kl_divergence, kronecker_cost,
                      kronecker_pmf, tilt)
-from dymatch.facade import SHADOWING_BUDGET, SLAT_COSTS, TARGET
+from dymatch.facade import SLAT_COSTS, TARGET
 from dymatch.ghc import group_leaves, merge_classes
 import conftest
 from conftest import (assert_matches_oracle, bisecting_ccghc, expand_blocks,
@@ -326,7 +326,7 @@ class TestAgainstHeapMerge:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_facade_probes(self, monkeypatch, k):
         probes = self._check_probes(monkeypatch, TARGET, SLAT_COSTS, k,
-                                    k * SHADOWING_BUDGET)
+                                    k * as_fraction("0.2063"))
         assert probes > 30
 
     def test_seeded_probes(self, monkeypatch):
@@ -362,7 +362,7 @@ class TestAgainstHeapMerge:
         _, _, order, starts = _type_classes(t, w)
         with monkeypatch.context() as m:
             merges = _record_merges(m)
-            res = ccghc(t, w, k * SHADOWING_BUDGET)
+            res = ccghc(t, w, k * as_fraction("0.2063"))
         assert res.trace[0].lam == 0.0
         weights, got_starts = merges[0]
         assert len(weights) == k + 1 and len(set(weights)) == 1

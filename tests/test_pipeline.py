@@ -4,16 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from dymatch import (CodeFormatError, CostVector, Pmf, PrefixCode,
-                     as_fraction, ccghc, canonical_code, compress_text,
-                     decompress_bits, facade_stats, kronecker_cost,
-                     kronecker_pmf, match_bits, run_facade, unmatch_symbols,
-                     verify_kraft)
-from dymatch.facade import (SLAT_ALPHABET, SLAT_COSTS, TARGET, matcher_code,
-                            source_code)
+from dymatch import (CodeFormatError, PrefixCode, as_fraction, ccghc,
+                     canonical_code, compress_text, decompress_bits,
+                     facade_stats, kronecker_cost, kronecker_pmf, match_bits,
+                     run_facade, unmatch_symbols, verify_kraft)
+from dymatch.facade import SLAT_COSTS, TARGET, matcher_code, source_code
 
 SRC = source_code()
 MAT = matcher_code()

@@ -13,9 +13,13 @@ either: its gap is 0.008587 at k=3, 0.00403 at k=6 and 0.01064 at k=8,
 so no dyadic k=8 pmf within budget beats k=3 there.
 
 The chord construction quantifies achievability: tilting by the slope xi
-of the chord through (E*, D(E*)) and the point epsilon above it pushes
-the block solution into the segment the chord cuts from the region above
-the curve, once k is large enough.
+of the chord through (E*, D(E*)) and the point epsilon above it is meant
+to push the block solution into the segment the chord cuts from the
+region above the curve, once k is large enough. Measured on the facade
+at E* = 0.2063, the per-symbol point of Ghc(t^k * 2^(-xi v_k)) lands in
+the segment (E' <= cost <= E*, KL at or below the chord) for every
+k = 5..12 at epsilon = 0.1 and for none of k = 1..4; for epsilon = 0.001,
+0.003, 0.01, 0.02, 0.03 and 0.05 it lands at no k <= 12.
 """
 from __future__ import annotations
 
@@ -49,12 +53,14 @@ class ConvergenceRecord:
 @dataclass(frozen=True)
 class ChordConstruction:
     """Chord geometry at a budget E*: the second cut point E' where
-    D(E') = D(E*) + epsilon, the midpoint E'', and the chord slope
-    magnitude xi (steeper than the tangent, by strict convexity)."""
+    D(E') = D(E*) + epsilon, the midpoint E'', the chord slope magnitude
+    xi (steeper than the tangent, by strict convexity), and the relaxed
+    distance D_star = D(E*) the chord starts from."""
 
     E_prime: float
     E_mid: float
     xi: float
+    D_star: float
 
 
 def convergence_sweep(t: Pmf, w: CostVector, S: Number, k_max: int) -> tuple:
@@ -104,12 +110,6 @@ def chord(t: Pmf, w: CostVector, E_star: float,
             so large that D(E*) + epsilon reaches D's limit or E' rounds
             to the cheapest supported cost; E_star NaN.
     """
-    return _chord(t, w, E_star, epsilon)[0]
-
-
-def _chord(t: Pmf, w: CostVector, E_star: float, epsilon: float) -> tuple:
-    """chord's construction and the relaxed solution at E_star it starts
-    from, so a caller that needs D(E*) too solves once."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     sol = solve_simplex(t, w, E_star)
@@ -137,7 +137,7 @@ def _chord(t: Pmf, w: CostVector, E_star: float, epsilon: float) -> tuple:
                          f"chord: xi = {xi} lies outside the tangent "
                          f"slopes ({sol.lam}, {prime.lam})")
     return ChordConstruction(E_prime=prime.E, E_mid=0.5 * (prime.E + sol.E),
-                             xi=xi), sol
+                             xi=xi, D_star=sol.D)
 
 
 def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
@@ -145,8 +145,9 @@ def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
     """Compare the constrained block-k solution against the chord tilt.
 
     The chord tilt Ghc(t^k * 2^(-xi v_k)) is the fixed-multiplier
-    construction whose operating point lands in the chord segment for
-    large k. The constrained search should do at least as well: this
+    construction whose operating point is meant to land in the chord
+    segment for large k (the module docstring says where it was measured
+    to). The constrained search should do at least as well: this
     returns (ok, record) where ok is True when the constrained solution
     is feasible and, whenever the chord tilt is itself feasible, the
     constrained solution's distance does not exceed the chord tilt's
@@ -154,11 +155,11 @@ def achievability_check(t: Pmf, w: CostVector, S: Number, epsilon: float,
     """
     S_exact = as_fraction(S)
     E = as_float(S_exact, "budget")
-    ch, sol = _chord(t, w, E, epsilon)
+    ch = chord(t, w, E, epsilon)
     tk = kronecker_pmf(t, k)
     vk = kronecker_cost(w, k)
     res = ccghc(t, w, k * S_exact, k)
-    record = _record(k, res, sol.D)
+    record = _record(k, res, ch.D_star)
     ok = res.cost_exact <= k * S_exact
     d_xi = ghc(tilt(tk, vk, ch.xi))
     if average_cost_exact(d_xi, vk) <= k * S_exact:

@@ -67,23 +67,24 @@ classes that tie, as those of one target do at multiplier 0 (all of the
 facade's do), take their turns in that order, and each pairs its own
 blocks first.
 
-For blocks of k symbols the classes are built from the symbols', not
-from the m^k leaves (_type_classes). Level 1 is group_leaves over the m
-symbols, as for k = 1. A leaf of level j + 1 is a leaf i of level j
-followed by a symbol s, at index i * m + s, and kronecker_pmf and
-kronecker_cost give it the target t_i * t_s and the cost numerator
-n_i + n_s. All leaves of a class share its key, so the class c paired
-with s maps every one of them to the key (target_c * t_s, num_c + n_s),
-the same float product and integer sum: the pairs of equal key form the
-classes of level j + 1. The pair (c, s) first appears at
-first_c * m + s, and with the classes in order of first appearance the
-pairs in the order c * m + s are too, so each new class is numbered at
-its first pair, in order of its first appearance, which is the smallest
-of its pairs'. The leaves' class ids at level j + 1 are a gather of the
-pairs' ids by the ids at level j, and one stable sort of them gives the
-layout. A target such as (0.2, 0.3, 0.5) gives blocks of one symbol
-multiset different floats in different orders; they are different keys
-here as they are on the leaves.
+The classes are built from the symbols', not from the m^k leaves
+(_type_classes). The recursion starts at the empty block, one class of
+target 1.0 and cost 0, so the blocks of one symbol are its first step
+(1.0 * t_s and 0 + n_s are t_s and n_s exactly). A leaf of level j + 1
+is a leaf i of level j followed by a symbol s, at index i * m + s, and
+kronecker_pmf and kronecker_cost give it the target t_i * t_s and the
+cost numerator n_i + n_s. All leaves of a class share its key, so the
+class c paired with s maps every one of them to the key
+(target_c * t_s, num_c + n_s), the same float product and integer sum:
+the pairs of equal key form the classes of level j + 1. The pair (c, s)
+first appears at first_c * m + s, and with the classes in order of
+first appearance the pairs in the order c * m + s are too, so each new
+class is numbered at its first pair, in order of its first appearance,
+which is the smallest of its pairs'. The leaves' class ids at level
+j + 1 are a gather of the pairs' ids by the ids at level j, and one
+stable sort of them gives the layout. A target such as (0.2, 0.3, 0.5)
+gives blocks of one symbol multiset different floats in different
+orders; they are different keys here as they are on the leaves.
 
 A probe then costs its merge plus a sum over the blocks of the code
 tree. A block (depth, c, pos, d) holds 2^d leaves of class c, each of
@@ -122,7 +123,7 @@ from math import inf, isfinite, ldexp, log2
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleConstraintError
-from .ghc import _as_weights, ghc, group_leaves, leaf_lengths, merge_classes
+from .ghc import _as_weights, ghc, leaf_lengths, merge_classes
 from .pmf import (CostVector, DyadicPmf, Number, Pmf, as_fraction,
                   average_cost_exact, kl_divergence, kronecker_cost,
                   kronecker_pmf)
@@ -169,6 +170,16 @@ class _Tilt:
         return out
 
 
+def _nearest(costs, spread: float) -> float:
+    """The smallest positive gap between the float costs and the
+    cheapest of them, or spread where they are all equal. The tilt at
+    lam weighs the nearer costs 2^(-lam * gap) against the cheapest, so
+    long before lam * gap passes 2^100, where the searches give up, it
+    has put every weight off the cheapest costs at 0."""
+    low = min(costs)
+    return min((c - low for c in costs if c > low), default=spread)
+
+
 def tilt(t, w: CostVector, lam: float) -> np.ndarray:
     """Tilted target t_i * 2^(lam * (w_min - w_i)) as a float array,
     w_min the cheapest cost among symbols with t_i > 0; entries with
@@ -195,18 +206,15 @@ def tilt(t, w: CostVector, lam: float) -> np.ndarray:
 def _type_classes(t: Pmf, w: CostVector, k: int) -> tuple:
     """group_leaves(zip(tk.probs.tolist(), wk.nums)) for the k-symbol
     blocks tk = kronecker_pmf(t, k) and wk = kronecker_cost(w, k), built
-    over classes: (keys, order, starts), with keys the classes' (target,
-    cost numerator) in order of first appearance (see the module
-    docstring)."""
+    over classes from the empty block: (keys, order, starts), with keys
+    the classes' (target, cost numerator) in order of first appearance
+    (see the module docstring)."""
     symbols = list(zip(t.probs.tolist(), w.nums))
-    keys, order, starts = group_leaves(symbols)
-    if k == 1:
-        return keys, order, starts
-    # the class of each leaf of the current level
-    ids = np.empty(len(symbols), dtype=np.intp)
-    for c in range(len(keys)):
-        ids[order[starts[c]:starts[c + 1]]] = c
-    for _ in range(k - 1):
+    # the empty block is one class, of target 1.0 and cost 0, and the
+    # class of each leaf of the current level
+    keys = [(1.0, 0)]
+    ids = np.zeros(1, dtype=np.intp)
+    for _ in range(k):
         # pair c * m + s is class c followed by symbol s; each new key
         # gets the next class id at its first pair
         index: dict = {}
@@ -317,9 +325,11 @@ def ccghc(t: Pmf, w: CostVector, S: Number, k: int = 1) -> CcGhcResult:
             class is built.
         InfeasibleConstraintError: S below the cheapest supported block,
             or equal costs everywhere that exceed S.
-        ConvergenceError: no feasible multiplier lambda with
-            lambda * spread up to 2^100 (the bisection has no iteration
-            limit).
+        ConvergenceError: no feasible multiplier lambda with lambda
+            times the nearest gap up to 2^100, the smallest positive gap
+            between a supported class cost, as the tilt's float, and the
+            cheapest (_nearest; the spread where there is none). The
+            bisection has no iteration limit.
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
@@ -397,7 +407,10 @@ def ccghc(t: Pmf, w: CostVector, S: Number, k: int = 1) -> CcGhcResult:
         u = 1.0
         while not probe(u):
             lo, u = u, 2.0 * u
-            if u * spread > 2.0 ** 100:
+            # the nearest cost is at most spread above the cheapest, so
+            # it is looked for only past this ceiling on spread
+            if u * spread > 2.0 ** 100 and u * _nearest(
+                    [n / w.den for n in supported], spread) > 2.0 ** 100:
                 raise ConvergenceError(
                     "failed to bracket a feasible multiplier")
     # locate x, where the probes turn feasible, from the dual's lines

@@ -3,8 +3,8 @@
 Subcommands mirror the library: match (cost-constrained dyadic search),
 optimal (simplex relaxation), curve (tradeoff CSV), sweep (blocklength
 convergence CSV), encode and decode (the text pipeline), verify (code
-table checks). Exit codes: 0 success, 2 infeasible constraint, 3 parse
-or format error, 4 size cap.
+table checks). Exit codes: 0 success, 1 a multiplier search gave up,
+2 infeasible constraint, 3 parse or format error, 4 size cap.
 """
 from __future__ import annotations
 
@@ -27,6 +27,13 @@ from .facade import SLAT_ALPHABET
 from .pipeline import decompress_bits, run_facade, unmatch_symbols
 from .pmf import CostVector, Pmf, as_float, as_fraction
 from .simplex import curve_csv, distance_cost_curve, solve_simplex
+
+
+# the exit code of a refusal a subcommand raises: the first entry it is
+# an instance of (json.JSONDecodeError is a ValueError; a DymatchError
+# not named before it is a search that gave up)
+_EXIT_CODES = ((InfeasibleConstraintError, 2), (SizeCapError, 4),
+               ((CodeFormatError, OSError, ValueError), 3), (DymatchError, 1))
 
 
 class _UsageError(Exception):
@@ -265,18 +272,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     try:
         return args.func(args)
-    except InfeasibleConstraintError as e:
+    except (DymatchError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SizeCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (CodeFormatError, json.JSONDecodeError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except DymatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES
+                    if isinstance(e, kinds))
 
 
 if __name__ == "__main__":

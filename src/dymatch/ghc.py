@@ -55,7 +55,6 @@ import numpy as np
 from .pmf import DyadicPmf, _probs_of
 
 _BRUTE_MAX_SUPPORT = 8
-_BRUTE_MAX_LEN = 10
 
 
 def _as_weights(x, subject: str = "weights") -> np.ndarray:
@@ -240,24 +239,23 @@ def _kraft_multisets(n: int, max_len: int) -> tuple:
     return tuple(rec(n, unit, 0))
 
 
-def brute_force_dyadic(x, max_len: int = 8) -> DyadicPmf:
+def brute_force_dyadic(x) -> DyadicPmf:
     """Globally optimal dyadic pmf by exhaustive enumeration.
 
     Arguments:
         x: target weights with support size <= 8.
-        max_len: largest codeword length considered, <= 10.
 
-    Enumerates every length multiset satisfying Kraft equality, assigns
-    shorter lengths to heavier symbols (optimal for a fixed multiset by
-    the rearrangement inequality, and dropping any symbol other than the
+    Enumerates, for each n up to the support size, every multiset of n
+    lengths satisfying Kraft equality, each at most n - 1 since a full
+    binary tree on n leaves is at most n - 1 deep; assigns shorter
+    lengths to heavier symbols (optimal for a fixed multiset by the
+    rearrangement inequality, and dropping any symbol other than the
     lightest ones can never help), and returns the KL minimizer.
     """
     w = _as_weights(x)
     support = [i for i in range(len(w)) if w[i] > 0]
     if len(support) > _BRUTE_MAX_SUPPORT:
         raise ValueError(f"support {len(support)} too large for brute force")
-    if not 1 <= max_len <= _BRUTE_MAX_LEN:
-        raise ValueError(f"max_len must be in 1..{_BRUTE_MAX_LEN}")
     order = sorted(support, key=lambda i: (-w[i], i))
     total = float(np.sum(w[support]))
     log_norm = math.log2(total)
@@ -265,7 +263,7 @@ def brute_force_dyadic(x, max_len: int = 8) -> DyadicPmf:
     best_kl = math.inf
     best: tuple = ()
     for n in range(1, len(support) + 1):
-        for multiset in _kraft_multisets(n, max_len):
+        for multiset in _kraft_multisets(n, n - 1):
             kl = 0.0
             for idx, l in zip(order, multiset):
                 p = 2.0 ** -l

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccghc import _Tilt, tilt
+from .ccghc import _nearest, _Tilt, tilt
 from .errors import ConvergenceError, InfeasibleConstraintError
 from .pmf import CostVector, Pmf, average_cost, kl_divergence
 
@@ -74,7 +74,10 @@ def _search(tilted: _Tilt, t: Pmf, w: CostVector, rising, target: float,
     multiplier tried is exactly 2^-j times the unscaled one.
 
     Raises:
-        ConvergenceError: a step passes lam * spread = 2^100.
+        ConvergenceError: a step takes lam times the nearest gap past
+            2^100, the smallest positive gap between a supported cost and
+            the cheapest (_nearest; the spread where there is none), the
+            ceiling ccghc's bracket has too.
     """
     over = w.costs - tilted.cheapest
     spread = float(tilted.costs.max()) - tilted.cheapest
@@ -95,7 +98,8 @@ def _search(tilted: _Tilt, t: Pmf, w: CostVector, rising, target: float,
             p = Pmf(p)
             return TiltedSolution(p, lam, average_cost(p, w),
                                   kl_divergence(p, t))
-        if step * spread > 2.0 ** 100:
+        if step * spread > 2.0 ** 100 and step * _nearest(
+                tilted.costs.tolist(), spread) > 2.0 ** 100:
             raise ConvergenceError("failed to bracket the multiplier")
         lam = step
 
@@ -121,8 +125,9 @@ def solve_simplex(t: Pmf, w: CostVector, E: float) -> TiltedSolution:
     Raises:
         ValueError: E is NaN, or t and w differ in length.
         InfeasibleConstraintError: E at or below the cheapest supported cost.
-        ConvergenceError: the search passes lam * spread = 2^100 (see
-            _search).
+        ConvergenceError: the search takes lam times the smallest
+            positive gap between a supported cost and the cheapest past
+            2^100 (see _search).
     """
     tilted = _Tilt(t, w)
     if isnan(E):

@@ -58,6 +58,10 @@ class TestConvergenceSweep:
                                       r.cost_per_symbol).D
             assert r.kl_per_symbol >= d_at_cost - 1e-12
 
+    def test_needs_a_block(self, facade_t, facade_w):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            convergence_sweep(facade_t, facade_w, S, 0)
+
     def test_size_cap_honored(self, facade_t, facade_w):
         with pytest.raises(SizeCapError):
             convergence_sweep(facade_t, facade_w, S, 15)
@@ -177,6 +181,10 @@ class TestChord:
         with pytest.raises(ValueError, match="budget must be a number"):
             chord(facade_t, facade_w, math.nan, 0.01)
 
+    def test_carries_d_star(self, facade_t, facade_w):
+        ch = chord(facade_t, facade_w, 0.2063, 0.01)
+        assert ch.D_star == solve_simplex(facade_t, facade_w, 0.2063).D
+
     def test_chord_hits_target_distance(self, facade_t, facade_w):
         ch = chord(facade_t, facade_w, 0.2063, 0.01)
         d_star = solve_simplex(facade_t, facade_w, 0.2063).D
@@ -256,6 +264,36 @@ class TestChord:
         assert ch.E_prime > cheapest
         assert solve_simplex(t, w, ch.E_prime).D == pytest.approx(
             d_star + epsilon, abs=1e-9)
+
+
+class TestChordLanding:
+    """Where the chord tilt Ghc(t^k * 2^(-xi v_k)) lands on the facade at
+    E* = 0.2063: its per-symbol point is in the chord's segment, E' <=
+    cost <= E* and KL at or below the chord, from k = 5 at epsilon = 0.1,
+    and at no k <= 10 for epsilon = 0.001, 0.01 and 0.05."""
+
+    @staticmethod
+    def _lands(t, w, ch, epsilon, k) -> bool:
+        tk, vk = kronecker_pmf(t, k), kronecker_cost(w, k)
+        d = ghc(tilt(tk, vk, ch.xi))
+        cost = float(average_cost_exact(d, vk)) / k
+        kl = kl_divergence(d, tk) / k
+        E = 0.2063
+        line = ch.D_star + epsilon * (E - cost) / (E - ch.E_prime)
+        return ch.E_prime <= cost <= E and kl <= line
+
+    def test_lands_from_k5(self, facade_t, facade_w):
+        ch = chord(facade_t, facade_w, 0.2063, 0.1)
+        assert [k for k in range(1, 11)
+                if self._lands(facade_t, facade_w, ch, 0.1, k)] \
+            == list(range(5, 11))
+
+    @pytest.mark.parametrize("epsilon", [0.001, 0.01, 0.05])
+    def test_smaller_epsilon_lands_nowhere(self, facade_t, facade_w,
+                                           epsilon):
+        ch = chord(facade_t, facade_w, 0.2063, epsilon)
+        assert not any(self._lands(facade_t, facade_w, ch, epsilon, k)
+                       for k in range(1, 11))
 
 
 def _nested_chord(t, w, E_star, epsilon):

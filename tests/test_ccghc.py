@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dymatch import (CostVector, InfeasibleConstraintError, Pmf,
-                     SizeCapError, average_cost_exact, as_fraction,
+from dymatch import (ConvergenceError, CostVector, InfeasibleConstraintError,
+                     Pmf, SizeCapError, average_cost_exact, as_fraction,
                      brute_force_dyadic, ccghc, ghc, kl_divergence,
                      kronecker_cost, kronecker_pmf, solve_simplex, tilt)
 from dymatch.ghc import _kraft_multisets, group_leaves, merge_classes
@@ -121,6 +121,18 @@ class TestCcghc:
         with pytest.raises(InfeasibleConstraintError):
             ccghc(T3, W3, "0.17")
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 2"):
+            ccghc(T3, CostVector(("0.18", "0.31")), "0.2")
+
+    def test_bracket_gives_up_on_costs_equal_as_floats(self):
+        # 1 and 1 + 2^-100 tilt alike, so no multiplier drops the dearer
+        # one and the budget 1 + 10^-31 between them is never met
+        w = CostVector((1, 1 + Fraction(1, 2 ** 100), 2))
+        with pytest.raises(ConvergenceError,
+                           match="failed to bracket a feasible multiplier"):
+            ccghc(T3, w, 1 + Fraction(1, 10 ** 31))
+
     def test_infeasibility_threshold_is_supported_min(self):
         # symbol 0 is cheapest but has zero target mass: its cost does
         # not make a budget feasible
@@ -153,6 +165,21 @@ class TestCcghc:
         assert set(payload) == {"lengths", "lambda_star", "cost", "kl",
                                 "iterations", "bracket"}
         assert res.lambda_star in [e.lam for e in res.trace]
+
+
+class TestCeilingOnTheNearestCost:
+    """The bracket gives up when lambda times the smallest positive gap
+    between a supported cost and the cheapest, not the spread, passes
+    2^100: costs (0, 2^-j, 1) and budget 2^-(j + 3) are met by the free
+    symbol alone, at lambda_star = 2^(j + 1)."""
+
+    @pytest.mark.parametrize("j", [100, 200])
+    def test_free_symbol_alone(self, j):
+        w = CostVector((0, Fraction(1, 2 ** j), 1))
+        res = ccghc(T3, w, Fraction(1, 2 ** (j + 3)))
+        assert res.d.lengths == (0, None, None)
+        assert res.cost_exact == 0
+        assert res.lambda_star == 2.0 ** (j + 1)
 
 
 def _unsupported_shift_tilt(t, w):
@@ -827,7 +854,7 @@ class TestLagrangianOptimality:
             hi = sum(f * e for f, e in zip(t, w.exact))
             S = float(lo) + 0.6 * (float(hi) - float(lo))
             res = ccghc(t, w, round(S, 4))
-            rival = brute_force_dyadic(tilt(t, w, res.lambda_star), 8)
+            rival = brute_force_dyadic(tilt(t, w, res.lambda_star))
             got = objective(res.d, t, w, res.lambda_star)
             best = objective(rival, t, w, res.lambda_star)
             assert got <= best + 1e-10

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -326,6 +327,42 @@ class TestOptimal:
         assert code == 2
 
 
+class TestNearestCostCeiling:
+    """Costs 2^-100 and 1 above a free symbol and budget 2^-103: both
+    searches carry the multiplier past lambda * spread = 2^100, to where
+    lambda * 2^-100 drops the dearer symbols, and meet the budget."""
+
+    BUDGET = str(Fraction(1, 2 ** 103))
+
+    @staticmethod
+    def instance(tmp_path, target, costs) -> tuple:
+        paths = tmp_path / "target.json", tmp_path / "costs.json"
+        paths[0].write_text(json.dumps(target))
+        paths[1].write_text(json.dumps(costs))
+        return tuple(map(str, paths))
+
+    def test_match(self, tmp_path, capsys):
+        # two free symbols, so the result has a code table
+        target, costs = self.instance(
+            tmp_path, [0.25] * 4, ["0", "0", str(Fraction(1, 2 ** 100)), "1"])
+        code, out, err = run(["match", "--target", target, "--costs", costs,
+                              "--budget", self.BUDGET], capsys)
+        assert (code, err) == (0, "")
+        payload_text, table_text = out.split("\n\n", 1)
+        payload = json.loads(payload_text)
+        assert payload["lengths"] == [1, 1, None, None]
+        assert payload["cost"] == 0.0
+        assert parse_table(table_text) == {"a": "0", "b": "1"}
+
+    def test_optimal(self, tmp_path, capsys):
+        target, costs = self.instance(
+            tmp_path, [1 / 3] * 3, ["0", str(Fraction(1, 2 ** 100)), "1"])
+        code, out, err = run(["optimal", "--target", target, "--costs", costs,
+                              "--budget", self.BUDGET], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["E"] == pytest.approx(2.0 ** -103, rel=1e-12)
+
+
 class TestCurve:
     def test_csv_shape(self, files, capsys):
         code, out, _ = run(["curve", "--target", files["target"],
@@ -562,6 +599,76 @@ class TestVerify:
         code, _, err = run(["verify", "--code", str(table)], capsys)
         assert code == 3
         assert "error:" in err
+
+
+class TestExitCodes:
+    """A refusal a subcommand raises prints one error line and nothing
+    on stdout, and exits with its code: 1 a multiplier search gave up,
+    2 an infeasible budget, 3 a parse or format error, 4 the size cap."""
+
+    @staticmethod
+    def refused(argv, capsys) -> tuple:
+        code, out, err = run(argv, capsys)
+        assert out == ""
+        return code, err
+
+    @pytest.mark.parametrize("costs, budget, block, want", [
+        # 1 and 1 + 2^-100 tilt alike, so no multiplier meets a budget
+        # between them
+        (["1", "1.0000000000000000000000000000007888609052210118", "2"],
+         "1.0000000000000000000000000000001", "1",
+         (1, "error: failed to bracket a feasible multiplier\n")),
+        (["0.18", "0.18", "0.31"], "0.17", "1",
+         (2, "error: budget 17/100 is below the cheapest supported symbol "
+             "cost 9/50\n")),
+        (["0.18", "0.18", "0.31"], "0.2063", "0",
+         (3, "error: block length must be positive\n")),
+        (["0.18", "0.18", "0.31"], "0.2063", "15",
+         (4, "error: 3^15 entries exceeds cap 10000000\n"))],
+        ids=["gave-up", "infeasible", "format", "size-cap"])
+    def test_table(self, files, tmp_path, capsys, costs, budget, block,
+                   want):
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(costs))
+        assert self.refused(["match", "--target", files["target"],
+                             "--costs", str(path), "--budget", budget,
+                             "--block", block], capsys) == want
+
+    def test_no_default_alphabet_past_26_symbols(self, tmp_path, capsys):
+        target, costs = tmp_path / "target.json", tmp_path / "costs.json"
+        target.write_text(json.dumps([1 / 27] * 27))
+        costs.write_text(json.dumps(["1"] * 27))
+        assert self.refused(["match", "--target", str(target),
+                             "--costs", str(costs), "--budget", "1"],
+                            capsys) == (
+            3, "error: no default alphabet for 27 symbols; use "
+               "--alphabet\n")
+
+    def test_alphabet_token_count(self, files, capsys):
+        assert self.refused(["match", "--target", files["target"],
+                             "--costs", files["costs"], "--budget", "0.2063",
+                             "--alphabet", "ab"], capsys) == (
+            3, "error: alphabet has 2 tokens, expected 3\n")
+
+    def test_grid_needs_three_parts(self, files, capsys):
+        assert self.refused(["curve", "--target", files["target"],
+                             "--costs", files["costs"],
+                             "--grid", "0.19:0.22"], capsys) == (
+            3, "error: grid must be start:stop:count, got '0.19:0.22'\n")
+
+    def test_grid_needs_two_points(self, files, capsys):
+        assert self.refused(["curve", "--target", files["target"],
+                             "--costs", files["costs"],
+                             "--grid", "0.19:0.22:1"], capsys) == (
+            3, "error: grid needs at least 2 points\n")
+
+    def test_target_and_costs_lengths(self, files, tmp_path, capsys):
+        costs = tmp_path / "costs.json"
+        costs.write_text(json.dumps(["0.18", "0.31"]))
+        assert self.refused(["match", "--target", files["target"],
+                             "--costs", str(costs), "--budget", "0.2063"],
+                            capsys) == (
+            3, "error: target has 3 symbols, costs 2\n")
 
 
 class TestUsageErrors:

@@ -64,6 +64,10 @@ class TestSymbolAlphabet:
         assert ABC.symbols[1] == "b" and len(ABC) == 3
         assert _parse_alphabet("c,a,b", 3).symbols == ("c", "a", "b")
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="alphabet must be non-empty"):
+            SymbolAlphabet(())
+
     def test_space_allowed(self):
         assert SymbolAlphabet(("a", " ")).symbols == ("a", " ")
         assert table_token(" ") == "_"
@@ -128,6 +132,15 @@ class TestPrefixCode:
         with pytest.raises(ValueError):
             PrefixCode([("a", "0"), ("b", "01")])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            PrefixCode([])
+
+    def test_unknown_symbol(self):
+        code = PrefixCode([("a", "0"), ("b", "1")])
+        with pytest.raises(ValueError, match="symbol 'c' not in code"):
+            code.bits_for("c")
+
     def test_rejects_duplicate_symbol(self):
         with pytest.raises(ValueError):
             PrefixCode([("a", "0"), ("a", "1")])
@@ -189,6 +202,10 @@ class TestCanonicalCode:
     def test_three_symbols(self):
         code = canonical_code(DyadicPmf((1, 2, 2)), ("a", "b", "c"))
         assert dict(code.entries) == {"a": "0", "b": "10", "c": "11"}
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 2"):
+            canonical_code(DyadicPmf((1, 2, 2)), ("a", "b"))
 
     def test_four_equal(self):
         code = canonical_code(DyadicPmf((2, 2, 2, 2)), ("a", "b", "c", "d"))
@@ -377,6 +394,16 @@ class TestCodeTableIO:
         with pytest.raises(CodeFormatError) as err:
             parse_code_table("a 010\n")
         assert err.value.line == 1
+
+    def test_parse_rejects_empty_symbol(self):
+        with pytest.raises(CodeFormatError, match="empty symbol") as err:
+            parse_code_table("a\t0\n \t1\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+
+    def test_parse_rejects_empty_codeword(self):
+        with pytest.raises(CodeFormatError, match="empty codeword") as err:
+            parse_code_table("a\t0\nb\t \n")
+        assert (err.value.line, err.value.column) == (2, 4)
 
     def test_parse_rejects_duplicates(self):
         with pytest.raises(CodeFormatError):

@@ -12,7 +12,7 @@ from dymatch import (CostVector, Pmf, as_fraction, brute_force_dyadic,
                      ccghc, ghc, kl_divergence, kronecker_cost,
                      kronecker_pmf, tilt)
 from dymatch.facade import SLAT_COSTS, TARGET
-from dymatch.ghc import group_leaves, merge_classes
+from dymatch.ghc import _kraft_multisets, group_leaves, merge_classes
 import conftest
 from conftest import (assert_matches_oracle, bisecting_ccghc, expand_blocks,
                       heap_ghc, seeded_instances)
@@ -162,6 +162,10 @@ class TestTargetWeights:
         with pytest.raises(ValueError, match="at least one positive"):
             ghc((0.0, 0.0))
 
+    def test_merge_classes_rejects_all_zero(self):
+        with pytest.raises(ValueError, match="at least one positive"):
+            merge_classes([0.0, 0.0], [0, 2, 3])
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="finite and non-negative"):
             ghc((0.5, -0.1))
@@ -237,22 +241,26 @@ class TestGhc:
 
 class TestBruteForce:
     def test_two_equal(self):
-        assert brute_force_dyadic((0.5, 0.5), 8).lengths == (1, 1)
+        assert brute_force_dyadic((0.5, 0.5)).lengths == (1, 1)
 
     def test_uniform_three(self):
-        d = brute_force_dyadic(Pmf.uniform(3), 8)
+        d = brute_force_dyadic(Pmf.uniform(3))
         assert dyadic_kl(d, (1, 1, 1)) == pytest.approx(0.084963, abs=1e-6)
 
     def test_skewed_matches_ghc(self):
         x = (0.9, 0.05, 0.05)
         assert dyadic_kl(ghc(x), x) == pytest.approx(
-            dyadic_kl(brute_force_dyadic(x, 8), x), abs=1e-12)
+            dyadic_kl(brute_force_dyadic(x), x), abs=1e-12)
 
     def test_instance_limits(self):
         with pytest.raises(ValueError):
-            brute_force_dyadic(tuple([1.0] * 9), 8)
-        with pytest.raises(ValueError):
-            brute_force_dyadic((0.5, 0.5), 11)
+            brute_force_dyadic(tuple([1.0] * 9))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lengths_below_the_count(self, n):
+        # a full binary tree on n leaves is at most n - 1 deep, so the
+        # cap n - 1 enumerates what a cap of 8 does, in the same order
+        assert _kraft_multisets(n, n - 1) == _kraft_multisets(n, 8)
 
 
 class TestOptimalityOracle:
@@ -268,14 +276,14 @@ class TestOptimalityOracle:
         ]
         for x in cases:
             got = dyadic_kl(ghc(x), x)
-            want = dyadic_kl(brute_force_dyadic(x, 8), x)
+            want = dyadic_kl(brute_force_dyadic(x), x)
             assert got == pytest.approx(want, abs=1e-12), x
 
     @settings(max_examples=150)
     @given(st.lists(st.floats(0.001, 1.0), min_size=2, max_size=5))
     def test_random_instances(self, xs):
         got = dyadic_kl(ghc(xs), xs)
-        want = dyadic_kl(brute_force_dyadic(xs, 8), xs)
+        want = dyadic_kl(brute_force_dyadic(xs), xs)
         assert got <= want + 1e-12
 
     @given(tied_weights(max_size=4).map(lambda xs: xs[:8]))
@@ -283,7 +291,7 @@ class TestOptimalityOracle:
         # the optimum does not depend on how ties are broken
         assume(len(xs) >= 2 and max(xs) > 0)
         got = dyadic_kl(ghc(xs), xs)
-        want = dyadic_kl(brute_force_dyadic(xs, 8), xs)
+        want = dyadic_kl(brute_force_dyadic(xs), xs)
         assert got <= want + 1e-12
 
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=5))

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dymatch import (CodeFormatError, PrefixCode, as_fraction, ccghc,
-                     canonical_code, compress_text, decompress_bits,
-                     facade_stats, kronecker_cost, kronecker_pmf, match_bits,
-                     run_facade, unmatch_symbols, verify_kraft)
+from dymatch import (CodeFormatError, PrefixCode, SymbolAlphabet,
+                     as_fraction, ccghc, canonical_code, compress_text,
+                     decompress_bits, facade_stats, kronecker_cost,
+                     kronecker_pmf, match_bits, run_facade, unmatch_symbols,
+                     verify_kraft)
 from dymatch.facade import SLAT_COSTS, TARGET, matcher_code, source_code
 
 SRC = source_code()
@@ -105,6 +106,11 @@ class TestUnmatchSymbols:
     def test_partial_block_rejected(self):
         with pytest.raises(CodeFormatError):
             unmatch_symbols("ll", MAT, 4)
+
+    def test_mixed_block_lengths_rejected(self):
+        mixed = PrefixCode([("l", "0"), ("rm", "1")])
+        with pytest.raises(ValueError, match=r"mixed lengths \[1, 2\]"):
+            unmatch_symbols("lrm", mixed, 2)
 
     def test_partial_block_after_the_bits_ignored(self):
         # lll carries 0010; a trailing ll cut from a repeat adds no bits
@@ -266,6 +272,10 @@ class TestFacadeStats:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             facade_stats("xx", SLAT_COSTS)
+
+    def test_costs_alphabet_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 2"):
+            facade_stats("lr", SLAT_COSTS, SymbolAlphabet(("l", "r")))
 
 
 class TestRunFacade:

@@ -43,6 +43,11 @@ class TestAsFraction:
         with pytest.raises(ValueError, match="not finite"):
             CostVector([float("inf"), "0.18"])
 
+    @pytest.mark.parametrize("x", [None, [1, 2], 1j])
+    def test_non_number_is_a_type_error(self, x):
+        with pytest.raises(TypeError, match="cannot convert"):
+            as_fraction(x)
+
 
 class TestPmf:
     def test_uniform(self):
@@ -60,6 +65,10 @@ class TestPmf:
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
             Pmf(np.array([1.0]))
+
+    def test_uniform_needs_two_symbols(self):
+        with pytest.raises(ValueError, match="needs m >= 2"):
+            Pmf.uniform(1)
 
     def test_immutable(self):
         p = Pmf.uniform(2)
@@ -99,6 +108,19 @@ class TestDyadicPmf:
         with pytest.raises(ValueError):
             DyadicPmf((1, 1, 1))
 
+    def test_needs_an_entry(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            DyadicPmf(())
+
+    def test_needs_a_finite_length(self):
+        with pytest.raises(ValueError, match="at least one finite length"):
+            DyadicPmf((None,))
+
+    @pytest.mark.parametrize("lengths", [(1.0, 1), (1, "1"), (-1, 0)])
+    def test_lengths_are_non_negative_ints(self, lengths):
+        with pytest.raises(ValueError, match="non-negative int"):
+            DyadicPmf(lengths)
+
     def test_none_is_probability_zero(self):
         d = DyadicPmf((1, 1, None))
         assert d.lengths == (1, 1, None) and d.kraft_sum() == 1
@@ -132,6 +154,10 @@ class TestCostVector:
         with pytest.raises(ValueError):
             CostVector(("-0.1", "0.2"))
 
+    def test_needs_an_entry(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            CostVector([])
+
     def test_is_uniform(self):
         assert CostVector(("0.5", "0.5")).is_uniform
         assert not CostVector(("0.5", "0.6")).is_uniform
@@ -160,6 +186,10 @@ class TestKlDivergence:
         t = Pmf(np.array([1.0, 0.0]))
         assert kl_divergence(p, t) == float("inf")
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            kl_divergence(Pmf.uniform(2), UNIFORM3)
+
     def test_zero_numerator_fine(self):
         p = Pmf(np.array([1.0, 0.0]))
         t = Pmf(np.array([0.5, 0.5]))
@@ -186,6 +216,14 @@ class TestAverageCost:
     def test_exact_skips_dropped_symbols(self):
         d = DyadicPmf((1, 1, None))
         assert average_cost_exact(d, self.W) == Fraction(9, 50)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            average_cost(Pmf.uniform(2), self.W)
+
+    def test_exact_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            average_cost_exact(DyadicPmf((1, 1)), self.W)
 
 
 class TestKronecker:
@@ -234,6 +272,10 @@ class TestKronecker:
         else:
             with pytest.raises(SizeCapError):
                 check_size_cap(m, k)
+
+    def test_check_size_cap_needs_a_block(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            check_size_cap(3, 0)
 
     def test_huge_k_refused_without_the_power(self):
         start = time.perf_counter()

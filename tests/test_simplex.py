@@ -388,6 +388,17 @@ class TestSearchCeiling:
         assert len(made) == 101
         assert made[-1] * spread == pytest.approx(2.0 ** 100, rel=1e-12)
 
+    @pytest.mark.parametrize("j", [100, 200])
+    def test_ceiling_on_the_nearest_cost(self, j):
+        # the budget 2^-(j + 3) is met at lam * spread near 2^(j + 1.5),
+        # past 2^100; the ceiling is on lam * 2^-j, the gap from the
+        # cheapest cost to the nearest, which stays near 2.8
+        w = CostVector((0, Fraction(1, 2 ** j), 1))
+        E = 2.0 ** -(j + 3)
+        sol = solve_simplex(T3, w, E)
+        assert sol.lam * 2.0 ** -j > 2.0
+        assert sol.E == pytest.approx(E, rel=1e-12)
+
 
 class TestUnitInvariance:
     """Rescaling the costs (and the budget) by 10^j rescales E by 10^j and

@@ -170,14 +170,22 @@ class _Tilt:
         return out
 
 
-def _nearest(costs, spread: float) -> float:
-    """The smallest positive gap between the float costs and the
-    cheapest of them, or spread where they are all equal. The tilt at
+def _past_ceiling(lam: float, spread: float, costs) -> bool:
+    """True when lam times the nearest gap passes 2^100, where the
+    multiplier searches give up. The nearest gap is the smallest
+    positive gap between the float costs and the cheapest of them, or
+    spread where they are all equal. It is at most spread, so costs, any
+    iterable, is read only once lam * spread passes 2^100. The tilt at
     lam weighs the nearer costs 2^(-lam * gap) against the cheapest, so
-    long before lam * gap passes 2^100, where the searches give up, it
-    has put every weight off the cheapest costs at 0."""
+    long before the ceiling it has put every weight off the cheapest
+    costs at 0."""
+    ceiling = 2.0 ** 100
+    if lam * spread <= ceiling:
+        return False
+    costs = list(costs)
     low = min(costs)
-    return min((c - low for c in costs if c > low), default=spread)
+    return lam * min((c - low for c in costs if c > low),
+                     default=spread) > ceiling
 
 
 def tilt(t, w: CostVector, lam: float) -> np.ndarray:
@@ -328,8 +336,13 @@ def ccghc(t: Pmf, w: CostVector, S: Number, k: int = 1) -> CcGhcResult:
         ConvergenceError: no feasible multiplier lambda with lambda
             times the nearest gap up to 2^100, the smallest positive gap
             between a supported class cost, as the tilt's float, and the
-            cheapest (_nearest; the spread where there is none). The
-            bisection has no iteration limit.
+            cheapest (_past_ceiling; the spread where there is none).
+            The one input known to give up has supported costs equal as
+            floats but not exactly, where the budget needs them apart,
+            such as costs (1, 1 + 2^-100, 2) and budget 1 + 10^-31: the
+            tilt weighs the first two alike at every multiplier, so no
+            probe drops the dearer one. The bisection has no iteration
+            limit.
     """
     if len(t) != len(w):
         raise ValueError(f"length mismatch: {len(t)} vs {len(w)}")
@@ -407,10 +420,7 @@ def ccghc(t: Pmf, w: CostVector, S: Number, k: int = 1) -> CcGhcResult:
         u = 1.0
         while not probe(u):
             lo, u = u, 2.0 * u
-            # the nearest cost is at most spread above the cheapest, so
-            # it is looked for only past this ceiling on spread
-            if u * spread > 2.0 ** 100 and u * _nearest(
-                    [n / w.den for n in supported], spread) > 2.0 ** 100:
+            if _past_ceiling(u, spread, (n / w.den for n in supported)):
                 raise ConvergenceError(
                     "failed to bracket a feasible multiplier")
     # locate x, where the probes turn feasible, from the dual's lines

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter, lt
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -211,14 +211,17 @@ def canonical_code(d: DyadicPmf, names: Sequence[str]) -> PrefixCode:
     one incremented then left-shifted to the new length, starting from
     all zeros. Symbols with probability 0 get no codeword.
 
-    The code is verified as it is built, by checks that run at C speed:
-    the counter ends at exactly 2^max_len, which is Kraft sum 1, so the
-    code is complete; the codewords, in the order they were assigned,
-    each sort after the previous one and do not extend it, which for a
-    sorted sequence is prefix-freeness, since a codeword between a prefix
-    and its extension extends the prefix too; and the symbols that get a
-    codeword have distinct names, by the size of the symbol index. So
-    the PrefixCode is built from these parts without rerunning its own
+    The code is verified as it is built. The counter ends at exactly
+    2^top, top the longest length, which is Kraft sum 1, so the code is
+    complete. That also makes it prefix-free. With c_l the counter after
+    the codewords of length l, the counts are non-negative, so
+    c_l 2^(top-l) <= c_top = 2^top: c_l <= 2^l at every length. So each
+    codeword of length l, a number below c_l, has exactly l digits, and
+    every later codeword starts with l digits that spell c_l or more.
+    The codewords, in the order they were assigned, therefore increase,
+    and none extends another. The symbols that get a codeword have
+    distinct names, checked by the size of the symbol index. So the
+    PrefixCode is built from these parts without rerunning its own
     checks, which convert each entry, sort every codeword and walk them
     with a stack.
 
@@ -242,8 +245,7 @@ def canonical_code(d: DyadicPmf, names: Sequence[str]) -> PrefixCode:
                          f"all its mass on {names[int(np.argmin(lengths))]!r}"
                          f", and a one-symbol code has no bits to parse")
     used = np.flatnonzero(counts).tolist()
-    # the codewords in assignment order, and by symbol
-    words: list = []
+    # the codewords by symbol
     bits = np.empty(len(lengths), dtype=object)
     code = top = 0
     for l in used:
@@ -254,14 +256,9 @@ def canonical_code(d: DyadicPmf, names: Sequence[str]) -> PrefixCode:
         run = list(map(_AFTER_0B1, map(bin, range((1 << l) + code,
                                                   (1 << l) + code + n))))
         bits[lengths == l] = run
-        words += run
         code += n
     if code != 1 << top:
         raise ValueError(f"Kraft sum is {Fraction(code, 1 << top)}, not 1")
-    if not all(map(lt, words, words[1:])) \
-            or any(map(str.startswith, words[1:], words)):
-        raise RuntimeError("canonical codewords out of order or not "
-                           "prefix-free")
     bits = bits.tolist()
     entries = tuple(zip(names, bits))
     by_symbol = dict(entries)

@@ -29,17 +29,18 @@ from .pmf import CostVector, Pmf, average_cost
 
 @dataclass(frozen=True)
 class FrequencyStats:
-    """Empirical statistics of an encoded symbol stream.
+    """Empirical statistics of an encoded symbol stream, as facade_stats
+    gives them.
 
     bit_balance is the fraction of zeros in the compressed bit stream
-    (None when no bit stream is in scope); shadowing is the average cost
-    divided by the slot width.
+    (None when no bit stream is in scope, or it is empty); shadowing is
+    the average cost divided by the slot width.
     """
 
     effective_freqs: Pmf
     effective_cost: float
-    bit_balance: Optional[float] = None
-    shadowing: Optional[float] = None
+    bit_balance: Optional[float]
+    shadowing: float
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,15 @@ def check_size_cap(m: int, k: int) -> None:
         raise SizeCapError(f"{m}^{k} entries exceeds cap {SIZE_CAP}")
 
 
+def _outer_power(op, v: np.ndarray, k: int) -> np.ndarray:
+    """v combined by the ufunc op over every block of k entries, in
+    lexicographic block order: op.outer(out, v).ravel(), k - 1 times."""
+    out = v
+    for _ in range(k - 1):
+        out = op.outer(out, v).ravel()
+    return out
+
+
 def kronecker_pmf(t: Pmf, k: int) -> Pmf:
     """Product pmf of k iid symbols, in lexicographic block order.
 
@@ -337,11 +346,7 @@ def kronecker_pmf(t: Pmf, k: int) -> Pmf:
     block (i1, ..., ik) lands at index i1*m^(k-1) + ... + ik.
     """
     check_size_cap(len(t), k)
-    out = t.probs
-    for _ in range(k - 1):
-        # the Kronecker product of two vectors
-        out = np.multiply.outer(out, t.probs).ravel()
-    return Pmf(out)
+    return Pmf(_outer_power(np.multiply, t.probs, k))
 
 
 def kronecker_cost(w: CostVector, k: int) -> CostVector:
@@ -353,16 +358,13 @@ def kronecker_cost(w: CostVector, k: int) -> CostVector:
     of addition order. Where the denominator and k times the largest
     numerator are at most 2^53, they are taken in int64 and the float
     view is their float64 quotient by the denominator: both operands are
-    exact, so it is correctly rounded, as int / int is.
+    exact, so it is correctly rounded, as int / int is. Otherwise they
+    are Python ints, and CostVector divides each, after refusing a sum
+    past the float range by name.
     """
     check_size_cap(len(w), k)
-    if k * max(w.nums) <= _EXACT_INT and w.den <= _EXACT_INT:
-        symbols = np.array(w.nums, dtype=np.int64)
-        out = symbols
-        for _ in range(k - 1):
-            out = np.add.outer(out, symbols).ravel()
-        return CostVector._scaled(tuple(out.tolist()), w.den, out / w.den)
-    out = w.nums
-    for _ in range(k - 1):
-        out = [a + b for a in out for b in w.nums]
-    return CostVector._scaled(tuple(out), w.den)
+    exact = k * max(w.nums) <= _EXACT_INT and w.den <= _EXACT_INT
+    symbols = np.array(w.nums, dtype=np.int64 if exact else object)
+    out = _outer_power(np.add, symbols, k)
+    return CostVector._scaled(tuple(out.tolist()), w.den,
+                              out / w.den if exact else None)

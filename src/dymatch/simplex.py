@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccghc import _nearest, _Tilt, tilt
+from .ccghc import _past_ceiling, _Tilt, tilt
 from .errors import ConvergenceError, InfeasibleConstraintError
 from .pmf import CostVector, Pmf, average_cost, kl_divergence
 
@@ -76,8 +76,12 @@ def _search(tilted: _Tilt, t: Pmf, w: CostVector, rising, target: float,
     Raises:
         ConvergenceError: a step takes lam times the nearest gap past
             2^100, the smallest positive gap between a supported cost and
-            the cheapest (_nearest; the spread where there is none), the
-            ceiling ccghc's bracket has too.
+            the cheapest (the spread where there is none), by the
+            _past_ceiling that ccghc's bracket calls too. The one input
+            known to reach it there has supported costs equal as floats
+            but not exactly, where the budget needs them apart; here the
+            costs and the target are floats, so such costs are equal,
+            and no input of solve_simplex or chord is known to reach it.
     """
     over = w.costs - tilted.cheapest
     spread = float(tilted.costs.max()) - tilted.cheapest
@@ -98,8 +102,7 @@ def _search(tilted: _Tilt, t: Pmf, w: CostVector, rising, target: float,
             p = Pmf(p)
             return TiltedSolution(p, lam, average_cost(p, w),
                                   kl_divergence(p, t))
-        if step * spread > 2.0 ** 100 and step * _nearest(
-                tilted.costs.tolist(), spread) > 2.0 ** 100:
+        if _past_ceiling(step, spread, tilted.costs):
             raise ConvergenceError("failed to bracket the multiplier")
         lam = step
 

@@ -182,6 +182,28 @@ class TestCeilingOnTheNearestCost:
         assert res.lambda_star == 2.0 ** (j + 1)
 
 
+class TestPastCeiling:
+    """_past_ceiling reads the costs only once lam * spread passes 2^100,
+    and then tests lam times the smallest positive gap from the
+    cheapest."""
+
+    def test_costs_unread_below_the_ceiling(self):
+        def costs():
+            raise AssertionError("costs read below the ceiling")
+            yield
+        assert not CCGHC_MODULE._past_ceiling(2.0 ** 100, 1.0, costs())
+        assert not CCGHC_MODULE._past_ceiling(2.0 ** 99, 2.0, costs())
+
+    @pytest.mark.parametrize("lam, past", [
+        (2.0 ** 101, False), (2.0 ** 200, False), (2.0 ** 201, True)])
+    def test_nearest_gap(self, lam, past):
+        costs = iter([1.0, 2.0 ** -100, 0.0])
+        assert CCGHC_MODULE._past_ceiling(lam, 1.0, costs) is past
+
+    def test_spread_where_all_costs_are_equal(self):
+        assert CCGHC_MODULE._past_ceiling(2.0 ** 101, 1.0, [0.5, 0.5])
+
+
 def _unsupported_shift_tilt(t, w):
     # the earlier tilt, shifted by the cheapest cost of any symbol and
     # prepared as _Tilt is; on a fully supported target it must give the

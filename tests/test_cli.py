@@ -4,10 +4,12 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from importlib import resources
 
+import dymatch
 from dymatch.ccghc import ccghc
 from dymatch.cli import _parse_alphabet, main
 from dymatch.codes import parse_code_table
@@ -52,6 +55,24 @@ SOLVE_SHA256 = {
     "optimal --budget 0.2063":
         "051bb188e9674af085b8496e58b65260a44553f19ab4c67a639f1e307fb70676",
 }
+
+# sha256 of each demo's stdout, run with -W error, taken before the
+# Kronecker builds shared one loop: a moved digit in any printed number
+# shows here
+DEMO_SHA256 = {
+    "01_dyadic_matching.py":
+        "af024657f4658c5200e4e06622d5dfe106af9307270c96995f7535f82db293a2",
+    "02_cost_constrained.py":
+        "d62dc564bb56da6e9b86cfd98471adb184a498295f01e114105456380f4f7a05",
+    "03_tradeoff_curve.py":
+        "ded018ecc288d73c657b74647c10d48199ce8af1239a6cb7ed6e98404c87925c",
+    "04_block_convergence.py":
+        "e812a2ccf6b90ba89d6673abd6a1052842c81e4739e7579fe7684e7822d736fc",
+    "05_text_to_slats.py":
+        "a9dfaeab243796d8c6eea90986918475408c8d9d4e3270f3216e529e86389293",
+}
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.fixture(scope="module")
@@ -624,8 +645,12 @@ class TestExitCodes:
         (["0.18", "0.18", "0.31"], "0.2063", "0",
          (3, "error: block length must be positive\n")),
         (["0.18", "0.18", "0.31"], "0.2063", "15",
-         (4, "error: 3^15 entries exceeds cap 10000000\n"))],
-        ids=["gave-up", "infeasible", "format", "size-cap"])
+         (4, "error: 3^15 entries exceeds cap 10000000\n")),
+        # each symbol cost is a float, the block of the dearest twice not
+        (["1e308", "1", "2"], "1.5", "2",
+         (3, "error: cost 2e+308 is past the float range\n"))],
+        ids=["gave-up", "infeasible", "format", "size-cap",
+             "block-cost-past-float-range"])
     def test_table(self, files, tmp_path, capsys, costs, budget, block,
                    want):
         path = tmp_path / "costs.json"
@@ -743,6 +768,21 @@ def test_facade_output_pinned(files, capsys, args):
                         "--costs", files["costs"], *rest], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_SHA256[args]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_SHA256))
+def test_demo_output_pinned(name):
+    # the package under test, wherever it was imported from
+    src = str(Path(dymatch.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(DEMOS / name)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_SHA256[name]
+
+
+def test_every_demo_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(DEMO_SHA256)
 
 
 def test_module_entry_point(files):

@@ -130,6 +130,13 @@ class TestCostVector:
         assert got.exact == tuple(want)
         assert list(got.costs) == [float(c) for c in want]
 
+    def test_kronecker_cost_past_the_float_range(self):
+        # the blocks' sums are Python ints past 2^53, and the one past the
+        # float range is refused by name, not by an OverflowError
+        with pytest.raises(ValueError) as info:
+            kronecker_cost(CostVector(["1e308", "1"]), 2)
+        assert str(info.value) == "cost 2e+308 is past the float range"
+
     def test_equality_across_denominators(self):
         # each block costs 1/4 + 1/4, kept over den 4; "0.5" has den 2
         v = kronecker_cost(CostVector(["0.25", "0.25"]), 2)
